@@ -36,12 +36,10 @@ from .fol import (
     Forall,
     Formula,
     FreeVariableError,
-    Iff,
     Imp,
     Less,
     Not,
     Num,
-    Or,
     Pi,
     Succ,
     Tau,
@@ -52,6 +50,7 @@ from .fol import (
     parse_formula,
     rosser_sentence,
     substitute,
+    walk,
 )
 from .proofs import (
     EnumeratorIndexed,
@@ -101,99 +100,33 @@ def _formula_repr(f: Formula) -> str:
 
 def _all_names(f: Formula) -> set[str]:
     """Every identifier occurring in f, free or bound."""
-    names: set[str] = set()
-    stack: list[object] = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Forall, Exists)):
-            names.add(node.var)
-            stack.append(node.body)
-        elif isinstance(node, Not):
-            stack.append(node.inner)
-        elif isinstance(node, (And, Or, Imp, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Less, Eq)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Tau):
-            stack.extend((node.prog, node.arg, node.steps))
-        elif isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, Succ):
-            stack.append(node.inner)
-        elif isinstance(node, Pi):
-            stack.append(node.left)
-            stack.append(node.right)
-    return names
+    return {n.name if isinstance(n, Var) else n.var
+            for n in walk(f) if isinstance(n, (Var, Forall, Exists))}
 
 
 def _existentials_preorder(f: Formula) -> list[Exists]:
     """All existential subformulas of f, outermost-and-leftmost first."""
-    found: list[Exists] = []
-    stack: list[Formula] = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Exists):
-            found.append(node)
-            stack.append(node.body)
-        elif isinstance(node, Forall):
-            stack.append(node.body)
-        elif isinstance(node, Not):
-            stack.append(node.inner)
-        elif isinstance(node, (And, Or, Imp, Iff)):
-            stack.append(node.right)
-            stack.append(node.left)
-    return found
+    return [n for n in walk(f) if isinstance(n, Exists)]
 
 
 def _node_count(f: Formula) -> int:
-    total = 0
-    stack: list[Formula] = [f]
-    while stack:
-        node = stack.pop()
-        total += 1
-        if isinstance(node, Not):
-            stack.append(node.inner)
-        elif isinstance(node, (And, Or, Imp, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Forall, Exists)):
-            stack.append(node.body)
-    return total
+    """Number of formula nodes in f; terms are not counted."""
+    return sum(1 for n in walk(f) if isinstance(n, Formula))
+
+
+_SYMBOL_OF = {Less: "<", Eq: "=", Tau: "tau", Succ: "s", Pi: "pi"}
 
 
 def _symbols(f: Formula) -> set[str]:
     """Nonlogical symbols used by f, out of {0, s, <, =, tau, pi}."""
     used: set[str] = set()
-    stack: list[object] = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Forall, Exists)):
-            stack.append(node.body)
-        elif isinstance(node, Not):
-            stack.append(node.inner)
-        elif isinstance(node, (And, Or, Imp, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Less, Eq)):
-            used.add("<" if isinstance(node, Less) else "=")
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Tau):
-            used.add("tau")
-            stack.extend((node.prog, node.arg, node.steps))
-        elif isinstance(node, Num):
+    for node in walk(f):
+        if isinstance(node, Num):
             used.add("0")
             if node.value > 0:
                 used.add("s")
-        elif isinstance(node, Succ):
-            used.add("s")
-            stack.append(node.inner)
-        elif isinstance(node, Pi):
-            used.add("pi")
-            stack.append(node.left)
-            stack.append(node.right)
+        elif type(node) in _SYMBOL_OF:
+            used.add(_SYMBOL_OF[type(node)])
     return used
 
 

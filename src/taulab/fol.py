@@ -29,6 +29,7 @@ axioms), so they stay safe at depths far beyond the interpreter stack.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .codec import decimal_to_nat, nat_to_decimal
@@ -38,7 +39,7 @@ __all__ = [
     "Formula", "Less", "Eq", "Tau", "Not", "And", "Or", "Imp", "Iff",
     "Forall", "Exists",
     "FolError", "FolSyntaxError", "FreeVariableError",
-    "succ", "free_vars", "is_sentence", "substitute", "fresh_name",
+    "succ", "free_vars", "is_sentence", "substitute", "fresh_name", "walk",
     "parse_term", "parse_formula", "parse_sentence", "read_fol_text",
     "format_term", "format_formula", "node_count", "uses_pi", "uses_tau",
     "conjoin_left", "disjoin_right", "rosser_sentence",
@@ -263,30 +264,24 @@ def is_sentence(f: Formula) -> bool:
     return not free_vars(f)
 
 
-def node_count(node: Node) -> int:
-    count = 0
+def walk(node: Node) -> Iterator[Node]:
+    """Every node under ``node``, itself first, in left-to-right preorder."""
     stack = [node]
     while stack:
         n = stack.pop()
-        count += 1
-        for name in n._field_names():
+        yield n
+        for name in reversed(n._field_names()):
             v = getattr(n, name)
             if isinstance(v, Node):
                 stack.append(v)
-    return count
+
+
+def node_count(node: Node) -> int:
+    return sum(1 for _ in walk(node))
 
 
 def _uses(node: Node, cls: type) -> bool:
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, cls):
-            return True
-        for name in n._field_names():
-            v = getattr(n, name)
-            if isinstance(v, Node):
-                stack.append(v)
-    return False
+    return any(isinstance(n, cls) for n in walk(node))
 
 
 def uses_pi(node: Node) -> bool:

@@ -6,6 +6,11 @@ axiom (validated through an oracle), modus ponens from two earlier steps,
 or generalization of an earlier step.  Generalization is unrestricted,
 which is sound here because theories supply closed axioms only.
 
+The schemas are data: ``_SCHEMAS`` lists, in schema-id order, each
+schema's name, its shape (formula nodes with pattern variables at the
+leaves) and an optional side condition on the pattern variables'
+bindings; one structural matcher serves every row.
+
 Two interchangeable oracle styles answer "is this formula an axiom?":
 
 * ``HostDecider`` wraps a total host predicate on formulas; the index on a
@@ -92,88 +97,15 @@ class Proof:
 # --------------------------------------------------------------------------
 # logical axiom schemas
 
-def _m_weakening(f):
-    match f:
-        case Imp(p, Imp(_, p2)):
-            return p2 == p
-    return False
+class _Meta:
+    """A pattern variable in a schema shape; repeated uses must be equal."""
+
+    __slots__ = ()
 
 
-def _m_distribution(f):
-    match f:
-        case Imp(Imp(p, Imp(q, r)), Imp(Imp(p2, q2), Imp(p3, r2))):
-            return p == p2 == p3 and q == q2 and r == r2
-    return False
-
-
-def _m_contraposition(f):
-    match f:
-        case Imp(Imp(Not(q), Not(p)), Imp(p2, q2)):
-            return p2 == p and q2 == q
-    return False
-
-
-def _m_and_elim_left(f):
-    match f:
-        case Imp(And(p, _), p2):
-            return p2 == p
-    return False
-
-
-def _m_and_elim_right(f):
-    match f:
-        case Imp(And(_, q), q2):
-            return q2 == q
-    return False
-
-
-def _m_and_intro(f):
-    match f:
-        case Imp(p, Imp(q, And(p2, q2))):
-            return p2 == p and q2 == q
-    return False
-
-
-def _m_or_intro_left(f):
-    match f:
-        case Imp(p, Or(p2, _)):
-            return p2 == p
-    return False
-
-
-def _m_or_intro_right(f):
-    match f:
-        case Imp(q, Or(_, q2)):
-            return q2 == q
-    return False
-
-
-def _m_or_elim(f):
-    match f:
-        case Imp(Imp(p, r), Imp(Imp(q, r2), Imp(Or(p2, q2), r3))):
-            return p2 == p and q2 == q and r == r2 == r3
-    return False
-
-
-def _m_iff_elim_left(f):
-    match f:
-        case Imp(Iff(p, q), Imp(p2, q2)):
-            return p2 == p and q2 == q
-    return False
-
-
-def _m_iff_elim_right(f):
-    match f:
-        case Imp(Iff(p, q), Imp(q2, p2)):
-            return p2 == p and q2 == q
-    return False
-
-
-def _m_iff_intro(f):
-    match f:
-        case Imp(Imp(p, q), Imp(Imp(q2, p2), Iff(p3, q3))):
-            return p == p2 == p3 and q == q2 == q3
-    return False
+P, Q, R = _Meta(), _Meta(), _Meta()
+T, U, V, A, B = _Meta(), _Meta(), _Meta(), _Meta(), _Meta()
+X = _Meta()  # binds the variable name of a quantifier
 
 
 def _candidate_terms(body: Node, result: Node, var: str) -> list:
@@ -225,145 +157,73 @@ def _is_substitution_instance(body: Formula, var: str, result: Formula) -> bool:
     return any(substitute(body, var, t) == result for t in candidates)
 
 
-def _m_forall_elim(f):
-    match f:
-        case Imp(Forall(x, body), result):
-            return _is_substitution_instance(body, x, result)
-    return False
+def _substitution_instance(b) -> bool:
+    return _is_substitution_instance(b[P], b[X], b[R])
 
 
-def _m_forall_dist(f):
-    match f:
-        case Imp(Forall(x, Imp(p, q)), Imp(p2, Forall(x2, q2))):
-            return (x2 == x and p2 == p and q2 == q
-                    and x not in free_vars(p))
-    return False
-
-
-def _m_exists_intro(f):
-    match f:
-        case Imp(result, Exists(x, body)):
-            return _is_substitution_instance(body, x, result)
-    return False
-
-
-def _m_exists_elim(f):
-    match f:
-        case Imp(Forall(x, Imp(p, q)), Imp(Exists(x2, p2), q2)):
-            return (x2 == x and p2 == p and q2 == q
-                    and x not in free_vars(q))
-    return False
-
-
-def _m_eq_refl(f):
-    match f:
-        case Eq(t, u):
-            return t == u
-    return False
-
-
-def _m_eq_sym(f):
-    match f:
-        case Imp(Eq(t, u), Eq(u2, t2)):
-            return t2 == t and u2 == u
-    return False
-
-
-def _m_eq_trans(f):
-    match f:
-        case Imp(And(Eq(t, u), Eq(u2, v)), Eq(t2, v2)):
-            return t2 == t and u2 == u and v2 == v
-    return False
-
-
-def _m_eq_succ(f):
-    match f:
-        case Imp(Eq(t, u), Eq(a, b)):
-            return a == succ(t) and b == succ(u)
-    return False
-
-
-def _m_eq_pair_left(f):
-    match f:
-        case Imp(Eq(t, u), Eq(Pi(t2, w), Pi(u2, w2))):
-            return t2 == t and u2 == u and w2 == w
-    return False
-
-
-def _m_eq_pair_right(f):
-    match f:
-        case Imp(Eq(t, u), Eq(Pi(w, t2), Pi(w2, u2))):
-            return t2 == t and u2 == u and w2 == w
-    return False
-
-
-def _m_eq_less_left(f):
-    match f:
-        case Imp(Eq(t, u), Iff(Less(t2, w), Less(u2, w2))):
-            return t2 == t and u2 == u and w2 == w
-    return False
-
-
-def _m_eq_less_right(f):
-    match f:
-        case Imp(Eq(t, u), Iff(Less(w, t2), Less(w2, u2))):
-            return t2 == t and u2 == u and w2 == w
-    return False
-
-
-def _m_eq_halt_prog(f):
-    match f:
-        case Imp(Eq(t, u), Iff(Tau(t2, a, b), Tau(u2, a2, b2))):
-            return t2 == t and u2 == u and a2 == a and b2 == b
-    return False
-
-
-def _m_eq_halt_input(f):
-    match f:
-        case Imp(Eq(t, u), Iff(Tau(a, t2, b), Tau(a2, u2, b2))):
-            return t2 == t and u2 == u and a2 == a and b2 == b
-    return False
-
-
-def _m_eq_halt_bound(f):
-    match f:
-        case Imp(Eq(t, u), Iff(Tau(a, b, t2), Tau(a2, b2, u2))):
-            return t2 == t and u2 == u and a2 == a and b2 == b
-    return False
-
-
-_SCHEMAS: tuple[tuple[str, object], ...] = (
-    ("weakening", _m_weakening),
-    ("distribution", _m_distribution),
-    ("contraposition", _m_contraposition),
-    ("and-elim-left", _m_and_elim_left),
-    ("and-elim-right", _m_and_elim_right),
-    ("and-intro", _m_and_intro),
-    ("or-intro-left", _m_or_intro_left),
-    ("or-intro-right", _m_or_intro_right),
-    ("or-elim", _m_or_elim),
-    ("iff-elim-left", _m_iff_elim_left),
-    ("iff-elim-right", _m_iff_elim_right),
-    ("iff-intro", _m_iff_intro),
-    ("forall-elim", _m_forall_elim),
-    ("forall-dist", _m_forall_dist),
-    ("exists-intro", _m_exists_intro),
-    ("exists-elim", _m_exists_elim),
-    ("eq-refl", _m_eq_refl),
-    ("eq-sym", _m_eq_sym),
-    ("eq-trans", _m_eq_trans),
-    ("eq-succ", _m_eq_succ),
-    ("eq-pair-left", _m_eq_pair_left),
-    ("eq-pair-right", _m_eq_pair_right),
-    ("eq-less-left", _m_eq_less_left),
-    ("eq-less-right", _m_eq_less_right),
-    ("eq-halt-prog", _m_eq_halt_prog),
-    ("eq-halt-input", _m_eq_halt_input),
-    ("eq-halt-bound", _m_eq_halt_bound),
+# One row per schema, in schema-id order: (name, shape, side condition).
+# A side condition receives the bindings of the shape's pattern variables.
+_SCHEMAS: tuple[tuple[str, Node, object], ...] = (
+    ("weakening", Imp(P, Imp(Q, P)), None),
+    ("distribution", Imp(Imp(P, Imp(Q, R)), Imp(Imp(P, Q), Imp(P, R))), None),
+    ("contraposition", Imp(Imp(Not(Q), Not(P)), Imp(P, Q)), None),
+    ("and-elim-left", Imp(And(P, Q), P), None),
+    ("and-elim-right", Imp(And(P, Q), Q), None),
+    ("and-intro", Imp(P, Imp(Q, And(P, Q))), None),
+    ("or-intro-left", Imp(P, Or(P, Q)), None),
+    ("or-intro-right", Imp(Q, Or(P, Q)), None),
+    ("or-elim", Imp(Imp(P, R), Imp(Imp(Q, R), Imp(Or(P, Q), R))), None),
+    ("iff-elim-left", Imp(Iff(P, Q), Imp(P, Q)), None),
+    ("iff-elim-right", Imp(Iff(P, Q), Imp(Q, P)), None),
+    ("iff-intro", Imp(Imp(P, Q), Imp(Imp(Q, P), Iff(P, Q))), None),
+    ("forall-elim", Imp(Forall(X, P), R), _substitution_instance),
+    ("forall-dist", Imp(Forall(X, Imp(P, Q)), Imp(P, Forall(X, Q))),
+     lambda b: b[X] not in free_vars(b[P])),
+    ("exists-intro", Imp(R, Exists(X, P)), _substitution_instance),
+    ("exists-elim", Imp(Forall(X, Imp(P, Q)), Imp(Exists(X, P), Q)),
+     lambda b: b[X] not in free_vars(b[Q])),
+    ("eq-refl", Eq(T, T), None),
+    ("eq-sym", Imp(Eq(T, U), Eq(U, T)), None),
+    ("eq-trans", Imp(And(Eq(T, U), Eq(U, V)), Eq(T, V)), None),
+    # not a plain shape: numerals fold, so 0 = 0 -> #1 = #1 is an instance
+    ("eq-succ", Imp(Eq(T, U), Eq(A, B)),
+     lambda b: b[A] == succ(b[T]) and b[B] == succ(b[U])),
+    ("eq-pair-left", Imp(Eq(T, U), Eq(Pi(T, V), Pi(U, V))), None),
+    ("eq-pair-right", Imp(Eq(T, U), Eq(Pi(V, T), Pi(V, U))), None),
+    ("eq-less-left", Imp(Eq(T, U), Iff(Less(T, V), Less(U, V))), None),
+    ("eq-less-right", Imp(Eq(T, U), Iff(Less(V, T), Less(V, U))), None),
+    ("eq-halt-prog", Imp(Eq(T, U), Iff(Tau(T, A, B), Tau(U, A, B))), None),
+    ("eq-halt-input", Imp(Eq(T, U), Iff(Tau(A, T, B), Tau(A, U, B))), None),
+    ("eq-halt-bound", Imp(Eq(T, U), Iff(Tau(A, B, T), Tau(A, B, U))), None),
 )
 
-SCHEMA_NAMES: tuple[str, ...] = tuple(name for name, _ in _SCHEMAS)
-_SCHEMA_BY_NAME = {name: (i, m) for i, (name, m) in enumerate(_SCHEMAS)}
+
+def _instantiates(shape: Node, side, f) -> bool:
+    """Whether ``f`` has the form of ``shape`` and meets ``side``.
+
+    Each pattern variable binds to what it meets first; every later
+    occurrence must meet an equal subformula, term or variable name.
+    """
+    bound: dict[_Meta, object] = {}
+    stack = [(shape, f)]
+    while stack:
+        pattern, node = stack.pop()
+        if type(pattern) is _Meta:
+            if pattern not in bound:
+                bound[pattern] = node
+            elif bound[pattern] != node:
+                return False
+        elif type(pattern) is not type(node):
+            return False
+        else:
+            for name in pattern._field_names():
+                stack.append((getattr(pattern, name), getattr(node, name)))
+    return side is None or side(bound)
+
+
+SCHEMA_NAMES: tuple[str, ...] = tuple(name for name, _, _ in _SCHEMAS)
+_SCHEMA_BY_NAME = {name: (i, shape, side)
+                   for i, (name, shape, side) in enumerate(_SCHEMAS)}
 
 
 def schema_id(name: str) -> int:
@@ -372,13 +232,13 @@ def schema_id(name: str) -> int:
 
 def schema_matches(name: str, f: Formula) -> bool:
     entry = _SCHEMA_BY_NAME.get(name)
-    return bool(entry and entry[1](f))
+    return entry is not None and _instantiates(entry[1], entry[2], f)
 
 
 def is_logical_axiom(f: Formula) -> str | None:
     """Name of the first schema that ``f`` instantiates, if any."""
-    for name, matcher in _SCHEMAS:
-        if matcher(f):
+    for name, shape, side in _SCHEMAS:
+        if _instantiates(shape, side, f):
             return name
     return None
 
@@ -759,21 +619,18 @@ def parse_proof_script(text: str) -> Proof:
         if not words or words[0] not in _JUST_WORDS:
             raise ValueError(f"bad justification: {just_text.strip()!r}")
         kind = words[0]
-        try:
-            if kind == "LA" and len(words) == 2:
-                if words[1] not in _SCHEMA_BY_NAME:
-                    raise ValueError(f"unknown schema {words[1]!r}")
-                just = LogicalAxiom(words[1])
-            elif kind == "AX" and len(words) == 2:
-                just = TheoryAxiom(int(words[1]))
-            elif kind == "MP" and len(words) == 3:
-                just = ModusPonens(int(words[1]), int(words[2]))
-            elif kind == "GEN" and len(words) == 3:
-                just = Gen(int(words[1]), words[2])
-            else:
-                raise ValueError(f"bad justification: {just_text.strip()!r}")
-        except ValueError:
-            raise
+        if kind == "LA" and len(words) == 2:
+            if words[1] not in _SCHEMA_BY_NAME:
+                raise ValueError(f"unknown schema {words[1]!r}")
+            just = LogicalAxiom(words[1])
+        elif kind == "AX" and len(words) == 2:
+            just = TheoryAxiom(int(words[1]))
+        elif kind == "MP" and len(words) == 3:
+            just = ModusPonens(int(words[1]), int(words[2]))
+        elif kind == "GEN" and len(words) == 3:
+            just = Gen(int(words[1]), words[2])
+        else:
+            raise ValueError(f"bad justification: {just_text.strip()!r}")
         steps.append(ProofStep(formula, just))
     return Proof(tuple(steps))
 

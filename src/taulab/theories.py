@@ -139,7 +139,21 @@ def segment_axiom_index(f: Formula) -> int | None:
             and guard.left.name == "x" and isinstance(guard.right, Num)):
         return None
     k = guard.right.value
-    return k if f == segment_axiom(k) else None
+    body = f.body.right
+    if k == 0:
+        return 0 if body == FALSUM else None
+    # one pass down the Or spine, allocating nothing: x = 0 | ... | x = #(k-1)
+    for i in range(k - 1):
+        if type(body) is not Or or not _is_x_equals(body.left, i):
+            return None
+        body = body.right
+    return k if _is_x_equals(body, k - 1) else None
+
+
+def _is_x_equals(f: Formula, i: int) -> bool:
+    """Whether f is exactly the atom x = #i."""
+    return (type(f) is Eq and type(f.left) is Var and f.left.name == "x"
+            and type(f.right) is Num and f.right.value == i)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ single-step ceiling 10405, the three-step example 15194407) were computed
 by hand from the pairing polynomial before the encoder existed.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,17 @@ POSITIVE_INSTANCES = [
     ("x = y -> (tau(0, z, x) <-> tau(0, z, y))", "eq-halt-bound"),
     ("0 = 0", "eq-refl"),
     ("pi(x,y) = pi(x,y)", "eq-refl"),
+    ("(x < y -> (y < z -> z < w)) -> ((x < y -> y < z) -> (x < y -> z < w))",
+     "distribution"),
+    ("(~(y < z) -> ~(x < y)) -> (x < y -> y < z)", "contraposition"),
+    ("x < y -> (y < z -> x < y & y < z)", "and-intro"),
+    ("(x < y -> z < w) -> ((y < z -> z < w) -> (x < y | y < z -> z < w))",
+     "or-elim"),
+    ("(x < y <-> y < z) -> (x < y -> y < z)", "iff-elim-left"),
+    ("(x < y <-> y < z) -> (y < z -> x < y)", "iff-elim-right"),
+    ("(x < y -> y < z) -> ((y < z -> x < y) -> (x < y <-> y < z))", "iff-intro"),
+    ("(A x. (y < z -> x < y)) -> (y < z -> A x. x < y)", "forall-dist"),
+    ("(A x. (x < y -> y < z)) -> ((E x. x < y) -> y < z)", "exists-elim"),
 ]
 
 
@@ -78,6 +90,73 @@ NON_INSTANCES = [
     "x = y -> s(y) = s(x)",                 # successor congruence, swapped
     "(A x. x < s(x)) -> #3 < #5",           # wrong numeral
     "0 < 0",
+    # near misses: one occurrence of a repeated pattern variable differs,
+    # or a side condition fails (schema and variable named on each line)
+    "x < y -> (y < z -> w < x)",                                    # weakening p
+    "(x < y -> (y < z -> z < w)) -> ((w < x -> y < z) -> (x < y -> z < w))",  # distribution p
+    "(x < y -> (y < z -> z < w)) -> ((x < y -> y < z) -> (w < x -> z < w))",  # distribution p
+    "(x < y -> (y < z -> z < w)) -> ((x < y -> w < x) -> (x < y -> z < w))",  # distribution q
+    "(x < y -> (y < z -> z < w)) -> ((x < y -> y < z) -> (x < y -> w < x))",  # distribution r
+    "(~(y < z) -> ~(x < y)) -> (w < x -> y < z)",                  # contraposition p
+    "(~(y < z) -> ~(x < y)) -> (x < y -> w < x)",                  # contraposition q
+    "x < y & y < z -> w < x",                                       # and-elim-left p, -right q
+    "x < y -> (y < z -> w < x & y < z)",                            # and-intro p
+    "x < y -> (y < z -> x < y & w < x)",                            # and-intro q
+    "x < y -> y < z | z < w",                                       # or-intro-left p, -right q
+    "(x < y -> z < w) -> ((y < z -> z < w) -> (w < x | y < z -> z < w))",  # or-elim p
+    "(x < y -> z < w) -> ((y < z -> z < w) -> (x < y | w < x -> z < w))",  # or-elim q
+    "(x < y -> z < w) -> ((y < z -> w < x) -> (x < y | y < z -> z < w))",  # or-elim r
+    "(x < y -> z < w) -> ((y < z -> z < w) -> (x < y | y < z -> w < x))",  # or-elim r
+    "(x < y <-> y < z) -> (w < x -> y < z)",                        # iff-elim-left p
+    "(x < y <-> y < z) -> (x < y -> w < x)",                        # iff-elim-left q
+    "(x < y <-> y < z) -> (y < z -> w < x)",                        # iff-elim-right p
+    "(x < y <-> y < z) -> (w < x -> x < y)",                        # iff-elim-right q
+    "(x < y -> y < z) -> ((y < z -> w < x) -> (x < y <-> y < z))",  # iff-intro p
+    "(x < y -> y < z) -> ((w < x -> x < y) -> (x < y <-> y < z))",  # iff-intro q
+    "(x < y -> y < z) -> ((y < z -> x < y) -> (w < x <-> y < z))",  # iff-intro p
+    "(x < y -> y < z) -> ((y < z -> x < y) -> (x < y <-> w < x))",  # iff-intro q
+    "(x < y -> y < z) -> ((y < z -> x < y) -> (y < z <-> x < y))",  # iff-intro, swapped
+    "(A x. (x < y -> y < z)) -> (x < y -> A x. y < z)",             # forall-dist, x free in p
+    "(A x. (z < w -> w < z)) -> (z < w -> A y. w < z)",             # forall-dist x
+    "(A x. (z < w -> w < z)) -> (w < x -> A x. w < z)",             # forall-dist p
+    "(A x. (z < w -> w < z)) -> (z < w -> A x. y < z)",             # forall-dist q
+    "0 = 0 -> E x. x < x",                                          # exists-intro
+    "#3 < #5 -> E x. x < s(x)",                                     # exists-intro, wrong numeral
+    "(A x. (z < w -> x < y)) -> ((E x. z < w) -> x < y)",           # exists-elim, x free in q
+    "(A x. (z < w -> w < z)) -> ((E y. z < w) -> w < z)",           # exists-elim x
+    "(A x. (z < w -> w < z)) -> ((E x. w < x) -> w < z)",           # exists-elim p
+    "(A x. (z < w -> w < z)) -> ((E x. z < w) -> y < z)",           # exists-elim q
+    "x = y",                                                        # eq-refl t
+    "x = y -> y = z",                                               # eq-sym t
+    "x = y -> z = x",                                               # eq-sym u
+    "x = y & y = z -> w = z",                                       # eq-trans t
+    "x = y & w = z -> x = z",                                       # eq-trans u
+    "x = y & y = z -> x = w",                                       # eq-trans v
+    "0 = 0 -> #1 = #2",                                             # eq-succ, folded numerals
+    "x = y -> pi(z,w) = pi(y,w)",                                   # eq-pair-left t
+    "x = y -> pi(x,w) = pi(z,w)",                                   # eq-pair-left u
+    "x = y -> pi(x,w) = pi(y,z)",                                   # eq-pair-left v
+    "x = y -> pi(w,z) = pi(w,y)",                                   # eq-pair-right t
+    "x = y -> pi(w,x) = pi(w,z)",                                   # eq-pair-right u
+    "x = y -> pi(w,x) = pi(z,y)",                                   # eq-pair-right v
+    "x = y -> (z < w <-> y < w)",                                   # eq-less-left t
+    "x = y -> (x < w <-> z < w)",                                   # eq-less-left u
+    "x = y -> (x < w <-> y < z)",                                   # eq-less-left v
+    "x = y -> (w < z <-> w < y)",                                   # eq-less-right t
+    "x = y -> (w < x <-> w < z)",                                   # eq-less-right u
+    "x = y -> (w < x <-> z < y)",                                   # eq-less-right v
+    "x = y -> (tau(z, 0, w) <-> tau(y, 0, w))",                     # eq-halt-prog t
+    "x = y -> (tau(x, 0, w) <-> tau(z, 0, w))",                     # eq-halt-prog u
+    "x = y -> (tau(x, 0, w) <-> tau(y, #1, w))",                    # eq-halt-prog a
+    "x = y -> (tau(x, 0, w) <-> tau(y, 0, z))",                     # eq-halt-prog b
+    "x = y -> (tau(0, z, w) <-> tau(0, y, w))",                     # eq-halt-input t
+    "x = y -> (tau(0, x, w) <-> tau(0, z, w))",                     # eq-halt-input u
+    "x = y -> (tau(0, x, w) <-> tau(#1, y, w))",                    # eq-halt-input a
+    "x = y -> (tau(0, x, w) <-> tau(0, y, z))",                     # eq-halt-input b
+    "x = y -> (tau(0, w, z) <-> tau(0, w, y))",                     # eq-halt-bound t
+    "x = y -> (tau(0, w, x) <-> tau(0, w, z))",                     # eq-halt-bound u
+    "x = y -> (tau(0, w, x) <-> tau(#1, w, y))",                    # eq-halt-bound a
+    "x = y -> (tau(0, w, x) <-> tau(0, z, y))",                     # eq-halt-bound b
 ]
 
 
@@ -90,6 +169,12 @@ def test_every_schema_name_is_distinct():
     assert len(set(SCHEMA_NAMES)) == 27
     assert schema_id("weakening") == 0
     assert schema_id("eq-halt-bound") == 26
+
+
+def test_documented_schema_ids_match_the_table():
+    doc = (Path(__file__).parent.parent / "docs" / "proof_encoding.md").read_text()
+    rows = re.findall(r"^\| (\d+) \| `([a-z-]+)` \|", doc, re.MULTILINE)
+    assert [(int(i), name) for i, name in rows] == list(enumerate(SCHEMA_NAMES))
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from conftest import random_order_sentences
 from taulab.codec import pair, program_code
 from taulab.fol import (
     Eq, Forall, Iff, Less, Not, Num, Or, Var,
-    FreeVariableError, format_formula, parse_formula, parse_sentence,
+    FreeVariableError, disjoin_right, format_formula, parse_formula,
+    parse_sentence,
 )
 from taulab.theories import (
     FALSE_IN_STD, FALSUM, ORDER_AXIOMS, PADDING, TRUE_IN_STD,
@@ -75,6 +76,27 @@ def test_left_nested_disjunction_is_not_canonical():
         Or(Or(Eq(x, Num(0)), Eq(x, Num(1))), Eq(x, Num(2)))))
     assert segment_axiom_index(lopsided) is None
     assert segment_axiom_index(segment_axiom(3)) == 3
+
+
+@pytest.mark.parametrize("k", [3, 8, 41])
+def test_segment_near_misses_inside_the_spine(k):
+    x = Var("x")
+    mid = k // 2
+
+    def segment(disjuncts):
+        return Forall("x", Iff(Less(x, Num(k)), disjoin_right(disjuncts)))
+
+    canon = [Eq(x, Num(i)) for i in range(k)]
+    assert segment_axiom_index(segment(canon)) == k
+    variants = {
+        "wrong numeral": {mid: Eq(x, Num(mid + 1))},
+        "sides swapped": {mid: Eq(Num(mid), x)},
+        "other variable": {mid: Eq(Var("y"), Num(mid))},
+    }
+    for what, change in variants.items():
+        disjuncts = [change.get(i, d) for i, d in enumerate(canon)]
+        assert segment_axiom_index(segment(disjuncts)) is None, what
+    assert segment_axiom_index(segment(canon + [Eq(x, Num(k))])) is None
 
 
 def test_closed_tau_args():
