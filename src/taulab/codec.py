@@ -110,51 +110,82 @@ def in_pair_range(p: int) -> bool:
     return p - s * s <= s
 
 
-# Program codes routinely run to tens of thousands of decimal digits, past
-# the interpreter's default int<->str conversion cap, so decimal text is
-# produced and consumed by recursive halving instead of one big str()/int().
+# Program codes routinely run to hundreds of thousands of decimal digits,
+# past the interpreter's default int<->str conversion cap and far past the
+# sizes where its quadratic conversions are cheap.  Both directions convert
+# by halving against cached powers instead (Brent & Zimmermann, "Modern
+# Computer Arithmetic", section 1.7):
+#
+# - natural -> text splits the bits in half, converts the halves to
+#   ``decimal.Decimal`` and recombines them as high * 2**k + low, with the
+#   Decimal powers of two cached per call.  libmpdec multiplies large
+#   operands in subquadratic time and prints a Decimal in linear time.  The
+#   context has maximal precision and traps Inexact, so a rounding could
+#   only raise, never produce wrong digits.  ``decimal`` is imported on this
+#   branch only; up to _SMALL_BITS bits, str() is used directly.
+# - text -> natural splits the digits in half and recombines them as
+#   (high * 5**k << k) + low (that is, high * 10**k + low), with 5**k
+#   memoised per call; pieces of at most _SAFE_DIGITS digits go to int().
 
+_SMALL_BITS = 8192
 _SAFE_DIGITS = 2048
-_SAFE_CEILING = 10**_SAFE_DIGITS
-
-
-def _digit_count(n: int) -> int:
-    est = max(1, (n.bit_length() * 30103) // 100000)
-    while 10**est <= n:
-        est += 1
-    while est > 1 and 10 ** (est - 1) > n:
-        est -= 1
-    return est
-
-
-def _emit_decimal(n: int, width: int, out: list[str]) -> None:
-    if n < _SAFE_CEILING:
-        text = str(n)
-        out.append(text.zfill(width) if width else text)
-        return
-    half = _digit_count(n) // 2
-    high, low = divmod(n, 10**half)
-    _emit_decimal(high, width - half if width else 0, out)
-    _emit_decimal(low, half, out)
 
 
 def nat_to_decimal(n: int) -> str:
     """Decimal text of a natural, regardless of how many digits it takes."""
     _check_nat(n)
-    out: list[str] = []
-    _emit_decimal(n, 0, out)
-    return "".join(out)
+    if n.bit_length() <= _SMALL_BITS:
+        return str(n)
+    return _big_nat_to_decimal(n)
+
+
+def _big_nat_to_decimal(n: int) -> str:
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power_of_two(k: int) -> decimal.Decimal:
+        p = powers.get(k)
+        if p is None:
+            if k <= _SMALL_BITS:
+                p = decimal.Decimal(1 << k)
+            else:
+                p = power_of_two(k >> 1) * power_of_two(k - (k >> 1))
+            powers[k] = p
+        return p
+
+    def convert(m: int, bits: int) -> decimal.Decimal:
+        # m < 2**bits
+        if bits <= _SMALL_BITS:
+            return decimal.Decimal(m)
+        k = bits >> 1
+        high = m >> k
+        return convert(high, bits - k) * power_of_two(k) + convert(m - (high << k), k)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def decimal_to_nat(text: str) -> int:
     """Natural denoted by a string of ASCII digits (any length)."""
     if not text or not text.isascii() or not text.isdigit():
         raise CodecError(f"not a decimal numeral: {text!r}")
-    return _parse_decimal(text)
-
-
-def _parse_decimal(text: str) -> int:
     if len(text) <= _SAFE_DIGITS:
         return int(text)
-    mid = len(text) // 2
-    return _parse_decimal(text[:mid]) * 10 ** (len(text) - mid) + _parse_decimal(text[mid:])
+    powers: dict[int, int] = {}
+
+    def convert(lo: int, hi: int) -> int:
+        if hi - lo <= _SAFE_DIGITS:
+            return int(text[lo:hi])
+        k = (hi - lo) >> 1
+        mid = hi - k
+        p = powers.get(k)
+        if p is None:
+            p = powers[k] = 5**k
+        return ((convert(lo, mid) * p) << k) + convert(mid, hi)
+
+    return convert(0, len(text))

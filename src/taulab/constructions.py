@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .codec import decode_program_code, program_code
+from .codec import decode_program_code, nat_to_decimal, program_code
 from .fol import (
     And,
     Eq,
@@ -466,10 +466,9 @@ def rosser_pair(enumerator_code: int) -> RosserArtifact:
     the positive one"; with a consistent stream neither searcher ever
     finds its proof, so neither program halts on pair(negative, positive).
     """
-    positive = instantiate_template(
-        "searcher", {"ENUM_CODE": enumerator_code, "POLARITY": "pos"})
-    negative = instantiate_template(
-        "searcher", {"ENUM_CODE": enumerator_code, "POLARITY": "neg"})
+    digits = nat_to_decimal(enumerator_code)  # both searchers splice the same numeral
+    positive = instantiate_template("searcher", {"ENUM_CODE": digits, "POLARITY": "pos"})
+    negative = instantiate_template("searcher", {"ENUM_CODE": digits, "POLARITY": "neg"})
     n = program_code(negative.source)
     m = program_code(positive.source)
     return RosserArtifact(n, m, rosser_sentence(n, m), enumerator_code)

@@ -29,6 +29,7 @@ axioms), so they stay safe at depths far beyond the interpreter stack.
 from __future__ import annotations
 
 import dataclasses
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -456,6 +457,13 @@ class _Token:
         self.column = column
 
 
+# The digits of a numeral are ASCII only; other characters that
+# str.isdigit accepts (such as the latin-1 superscripts) end the numeral.
+# A bare digit run is still scanned with str.isdigit, so that its error
+# message names the whole run.
+_DIGITS = re.compile(r"[0-9]*")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -495,9 +503,7 @@ def _tokenize(text: str) -> list[_Token]:
                 continue
             raise FolSyntaxError("stray '-' (did you mean '->')", line, col)
         if ch == "#":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
+            j = _DIGITS.match(text, i + 1).end()
             if j == i + 1:
                 raise FolSyntaxError("'#' must be followed by digits", line, col)
             tokens.append(_Token("NUM", decimal_to_nat(text[i + 1:j]), line, col))

@@ -556,10 +556,26 @@ def _formula_from_code(sentence_code: int) -> Formula | None:
         return None
 
 
+# (code, formula) of the last target looked up.  A searcher passes the
+# same int object on every call, and an identity test is free where hashing
+# an 800k-bit code for the cache above is not.  One tuple, replaced whole.
+_last_target: tuple = (None, None)
+
+
+def _target_formula(sentence_code: int) -> Formula | None:
+    global _last_target
+    code, formula = _last_target
+    if code is sentence_code:
+        return formula
+    formula = _formula_from_code(sentence_code)
+    _last_target = (sentence_code, formula)
+    return formula
+
+
 def check_coded_proof(enum_code: int, proof_code: int, sentence_code: int,
                       step_budget: int) -> CheckResult:
     """The in-language proof checker: everything arrives as numbers."""
-    target = _formula_from_code(sentence_code)
+    target = _target_formula(sentence_code)
     if target is None:
         return CheckResult(False, "bad_target", None, 0)
     proof = code_to_proof(proof_code)

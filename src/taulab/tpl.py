@@ -151,6 +151,11 @@ class _Tok:
         self.column = column
 
 
+# Numerals are ASCII digits only; other characters that str.isdigit accepts
+# (such as the latin-1 superscripts) are not numerals and fail to lex.
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def _lex(text: str) -> list[_Tok]:
     tokens: list[_Tok] = []
     i, n = 0, len(text)
@@ -178,10 +183,8 @@ def _lex(text: str) -> list[_Tok]:
             tokens.append(_Tok(ch, ch, line, col))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+        if "0" <= ch <= "9":
+            j = _DIGITS.match(text, i).end()
             tokens.append(_Tok("NUMBER", decimal_to_nat(text[i:j]), line, col))
             i = j
             continue
@@ -557,9 +560,8 @@ class Machine:
         raise _Fault("runout: program did not halt within the bound")
 
     def _checkproof(self, enum_code, proof_code, sentence_code):
-        from .proofs import check_coded_proof
-        result = check_coded_proof(enum_code, proof_code, sentence_code,
-                                   step_budget=self.budget - self.steps)
+        result = proofs.check_coded_proof(enum_code, proof_code, sentence_code,
+                                          step_budget=self.budget - self.steps)
         self._charge(result.consumed)
         if result.kind == "budget":
             raise _OutOfBudget
@@ -652,3 +654,8 @@ def instantiate_template(name: str, bindings: dict) -> TplProgram:
         return str(value)
 
     return parse_program(_PLACEHOLDER.sub(fill, text))
+
+
+# proofs imports this module, so it is imported last, once every name it
+# takes from here exists; Machine._checkproof looks it up at call time.
+from . import proofs  # noqa: E402

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taulab import codec
 from taulab.codec import (
     CodecError,
     ascii_to_bits,
@@ -146,3 +151,97 @@ def test_decimal_text_rejects_non_digits():
 def test_decimal_roundtrip(n):
     assert decimal_to_nat(nat_to_decimal(n)) == n
     assert nat_to_decimal(n) == str(n)
+
+
+# --------------------------------------------------------------------------
+# decimal conversion by halving, against an independent reference: chunks of
+# 18 digits peeled off with divmod (and glued back with a multiply-add),
+# which never calls str() or int() on more than 18 digits at once
+
+
+_CHUNK = 10**18
+
+
+def _reference_decimal(n: int) -> str:
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:018d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def _reference_nat(text: str) -> int:
+    head = len(text) % 18 or 18
+    n = int(text[:head])
+    for i in range(head, len(text), 18):
+        n = n * _CHUNK + int(text[i:i + 18])
+    return n
+
+
+def _assert_round_trip(n: int) -> None:
+    text = nat_to_decimal(n)
+    assert text == _reference_decimal(n)
+    assert decimal_to_nat(text) == n
+
+
+def _bit_lengths_around_thresholds():
+    small = codec._SMALL_BITS
+    for edge in (small, 2 * small, 4 * small + 1):
+        yield from (edge - 1, edge, edge + 1)
+
+
+@pytest.mark.parametrize("bits", list(_bit_lengths_around_thresholds()))
+def test_decimal_matches_reference_at_bit_thresholds(bits):
+    rng = random.Random(bits)
+    for n in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | (1 << (bits - 1))):
+        assert n.bit_length() == bits
+        _assert_round_trip(n)
+
+
+def _digit_counts_around_thresholds():
+    safe = codec._SAFE_DIGITS
+    small_digits = len(_reference_decimal(1 << codec._SMALL_BITS))
+    for edge in (safe, 2 * safe, small_digits, 2 * small_digits, 4 * small_digits):
+        yield from (edge - 1, edge, edge + 1)
+
+
+@pytest.mark.parametrize("k", list(_digit_counts_around_thresholds()))
+def test_decimal_matches_reference_on_zero_and_nine_runs(k):
+    # 10**k + 1 has a run of k - 1 internal zeros, 10**k - 1 is k nines
+    for n in (10**k - 1, 10**k, 10**k + 1):
+        _assert_round_trip(n)
+    assert decimal_to_nat("0" * k) == 0
+
+
+def test_decimal_parses_long_numerals_with_leading_zeros():
+    rng = random.Random(200_000)
+    size = 200_000
+    for zeros in (1, codec._SAFE_DIGITS, size // 2 + 1, size - 1):
+        text = "0" * zeros + "".join(rng.choice("0123456789") for _ in range(size - zeros))
+        assert len(text) == size
+        n = decimal_to_nat(text)
+        assert n == _reference_nat(text)
+        assert nat_to_decimal(n) == text.lstrip("0")
+
+
+def test_decimal_matches_reference_on_a_900k_bit_value():
+    n = random.Random(900_000).getrandbits(900_000) | (1 << 899_999)
+    _assert_round_trip(n)
+
+
+def test_small_numerals_do_not_load_decimal():
+    # decimal is imported only to print naturals past _SMALL_BITS bits
+    script = "\n".join([
+        "import sys",
+        "import taulab",
+        "from taulab import codec, fol, tpl",
+        "assert codec.nat_to_decimal(10**300) == '1' + '0' * 300",
+        "assert codec.decimal_to_nat('9' * 3000) == 10**3000 - 1",
+        "assert fol.format_formula(fol.parse_formula('#123456 < #78')) == '#123456 < #78'",
+        "assert tpl.run_program('x = 123456789; out = x + 1; halt;', 0, 10).env['out']"
+        " == 123456790",
+        "assert 'decimal' not in sys.modules, 'decimal was imported'",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+

@@ -58,6 +58,18 @@ def test_bare_nonzero_number_rejected():
         parse_formula("12 < x")
 
 
+@pytest.mark.parametrize("text", ["#\xb2 = 0", "#1\xb2 = 0", "0 < #\xb9"])
+def test_non_ascii_digits_are_syntax_errors(text):
+    # str.isdigit accepts the latin-1 superscripts; numerals take 0-9 only
+    with pytest.raises(FolSyntaxError):
+        parse_formula(text)
+
+
+def test_bare_digit_runs_keep_their_message():
+    with pytest.raises(FolSyntaxError, match="bare number '0\xb2'"):
+        parse_formula("0\xb2 = 0")
+
+
 def test_numeral_validation():
     with pytest.raises(ValueError):
         Num(-1)

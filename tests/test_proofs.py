@@ -284,6 +284,10 @@ def test_code_to_proof_on_junk_is_none_or_a_proof():
         assert decoded is None or isinstance(decoded, Proof)
 
 
+def test_code_to_proof_on_non_ascii_digits_is_none():
+    assert code_to_proof(pair(1, pair(0, pair(0, program_code("#\xb2 = #\xb2"))))) is None
+
+
 def test_skeleton_roundtrip_without_formulas():
     proof = Proof((
         ProofStep(None, TheoryAxiom(4)),
@@ -454,6 +458,26 @@ def test_checkproof_builtin_matches_the_host_checker(planted_oracle):
     # a three-bit perturbation of the proof code must not verify
     m2 = run_program(f"out = checkproof({e}, 13, {t}); halt;", 0, 10 ** 6)
     assert m2.halted and m2.env["out"] == 0
+
+
+def test_checkproof_on_a_target_with_non_ascii_digits_is_zero():
+    assert check_coded_proof(0, 10, program_code("#\xb2 = 0"), 100).kind == "bad_target"
+    m = run_program('out = checkproof(0, 10, tonat("#\xb2 = 0")); halt;', 0, 100)
+    assert m.halted and m.env["out"] == 0
+
+
+def test_target_lookup_by_identity_agrees_with_lookup_by_value(planted_oracle):
+    e = planted_oracle.enum_code
+    t = program_code("0 < #1" + " & 0 = 0" * 200)  # too big to be a cached small int
+    assert check_coded_proof(e, 10, program_code("0 < #1"), step_budget=10 ** 6).ok
+    first = check_coded_proof(e, 10, t, step_budget=10 ** 6)
+    assert first.kind == "conclusion"
+    assert check_coded_proof(e, 10, t, step_budget=10 ** 6) == first  # the same object
+    equal = (t + 1) - 1
+    assert equal is not t
+    assert check_coded_proof(e, 10, equal, step_budget=10 ** 6) == first
+    assert check_coded_proof(e, 10, 29, step_budget=10 ** 6).kind == "bad_target"
+    assert check_coded_proof(e, 10, t, step_budget=10 ** 6) == first
 
 
 def test_bit_flips_kill_the_planted_proof(planted_oracle):

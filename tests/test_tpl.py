@@ -5,13 +5,17 @@ statement, headers cost one per evaluation, simulation builtins add their
 inner consumption) and frozen here as literals.
 """
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulab.codec import pair, program_code
 from taulab.tpl import (
     Machine, TemplateError, TplSyntaxError, instantiate_template, output_code,
-    parse_program, run_output, run_program, tau, tau_verdict, template_source,
+    parse_program, program_from_code, run_output, run_program, tau, tau_verdict,
+    template_source,
 )
 
 
@@ -50,6 +54,33 @@ def test_parse_errors():
     # a call-looking use of a non-builtin is not an expression form
     with pytest.raises(TplSyntaxError):
         parse_program("x = foo(1);")
+
+
+@pytest.mark.parametrize("text", ["x = \xb2;", "x = 1\xb2;", "x = \xb9\xb3;"])
+def test_non_ascii_digits_are_syntax_errors(text):
+    # str.isdigit accepts the latin-1 superscripts; numerals take 0-9 only
+    with pytest.raises(TplSyntaxError, match="unexpected character"):
+        parse_program(text)
+    assert program_from_code(program_code(text)) is None
+    assert tau(program_code(text), 0, 10) is False
+
+
+def test_superscript_digits_still_continue_identifiers():
+    m = run("x\xb2 = 4; out = x\xb2 + 1; halt;")
+    assert m.halted and m.env["out"] == 5
+
+
+@pytest.mark.parametrize("first", ["taulab.tpl", "taulab.proofs"])
+def test_checkproof_works_whichever_module_is_imported_first(first):
+    # proofs imports tpl, and the checkproof builtin calls back into proofs
+    script = "\n".join([
+        f"import {first}",
+        "from taulab.tpl import run_program",
+        "m = run_program('out = checkproof(0, 10, tonat(\"0 = 0\")); halt;', 0, 100)",
+        "assert m.halted and m.env['out'] == 0 and m.steps == 2, (m.halted, m.env, m.steps)",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # --------------------------------------------------------------------------
