@@ -83,10 +83,11 @@ from .theories import (
 )
 from .tpl import (
     Machine,
+    TplProgram,
     TplSyntaxError,
     output_code,
     parse_program,
-    program_from_code,
+    run_code,
     tau,
 )
 
@@ -145,14 +146,14 @@ def _read_text(path: str) -> str:
         raise _InputError(f"not ASCII text: {path}")
 
 
-def _program_file(path: str) -> tuple[str, int]:
-    """Source text and code of a program file, parse-checked."""
+def _program_file(path: str) -> tuple[TplProgram, int]:
+    """Parsed program and code of a program file."""
     text = _read_text(path)
     try:
-        parse_program(text)
+        program = parse_program(text)
     except TplSyntaxError as err:
         raise _InputError(f"{path}: {err}")
-    return text, program_code(text)
+    return program, program_code(text)
 
 
 def _sentence(text: str) -> Formula:
@@ -238,10 +239,10 @@ def _cmd_codec_unpair(args) -> int:
 # tpl subcommands
 
 def _cmd_tpl_run(args) -> int:
-    text, _ = _program_file(args.file)
+    program, _ = _program_file(args.file)
     budget = args.steps if args.steps is not None else _env_budget(
         "LAB_STEP_BUDGET")
-    machine = Machine(parse_program(text), args.input, budget).run()
+    machine = Machine(program, args.input, budget).run()
     report = _Report()
     report.add("halted", "yes" if machine.halted else "no")
     report.add("steps", machine.steps)
@@ -474,8 +475,7 @@ def _cmd_construct_rosser(args) -> int:
         planted = rosser_pair(planted_stream)
         runner = planted.positive if args.plant == "pos" else planted.negative
         probe = pair(artifact.negative, artifact.positive)
-        machine = Machine(program_from_code(runner), probe,
-                          _env_budget("LAB_STEP_BUDGET")).run()
+        machine = run_code(runner, probe, _env_budget("LAB_STEP_BUDGET"))
         _write_artifact(directory, "planted_stream.tpl",
                         decode_program_code(planted_stream))
         report.add("planted-stream-file", "planted_stream.tpl")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .codec import decode_program_code, nat_to_decimal, program_code
+from .codec import nat_to_decimal, program_code
 from .fol import (
     And,
     Eq,
@@ -64,7 +64,8 @@ from .proofs import (
     prove_search,
 )
 from .theories import theory_T
-from .tpl import instantiate_template, parse_program, run_output, run_program
+from .tpl import (Machine, instantiate_template, output_code, program_from_code,
+                  run_code)
 
 __all__ = [
     "CONTRADICTION",
@@ -444,10 +445,8 @@ class RosserArtifact:
         if self.sentence != rosser_sentence(self.negative, self.positive):
             raise ValueError("sentence does not compare the two searchers")
         for code in (self.negative, self.positive):
-            text = decode_program_code(code)
-            if text is None:
-                raise ValueError("searcher codes must decode to text")
-            parse_program(text)
+            if program_from_code(code) is None:
+                raise ValueError("searcher codes must decode to programs")
 
     def __repr__(self) -> str:
         return (f"RosserArtifact(negative={_code_repr(self.negative)}, "
@@ -551,11 +550,12 @@ def diagonal(decider_code: int, *, step_budget: int = 10 ** 6,
     program = instantiate_template("diagonal", {"DECIDER_CODE": decider_code})
     e = program_code(program.source)
     sentence = Exists("z", Tau(Num(e), Num(e), Var("z")))
-    answer = run_output(decider_code,
-                        program_code(format_formula(sentence)),
-                        step_budget)
-    claimed = None if answer is None else answer != 0
-    machine = run_program(program, e, step_budget)
+    answer = run_code(decider_code, program_code(format_formula(sentence)),
+                      step_budget)
+    claimed = None
+    if answer is not None and answer.halted:
+        claimed = output_code(answer) != 0
+    machine = Machine(program, e, step_budget).run()
     observed = machine.halted
     if claimed is False and observed:
         return ContradictionReport(decider_code, e, claimed, observed,

@@ -40,7 +40,7 @@ from .fol import (
     Num, Or, Pi, Succ, Tau, Var, format_formula, free_vars, parse_formula,
     substitute, succ,
 )
-from .tpl import Machine, output_code, program_from_code
+from .tpl import output_code, run_code
 
 __all__ = [
     "LogicalAxiom", "TheoryAxiom", "ModusPonens", "Gen", "ProofStep", "Proof",
@@ -270,10 +270,9 @@ class EnumeratorIndexed:
     def materialize(self, index: int, budget: int):
         if self._memo is not None and index in self._memo:
             return self._memo[index], 0, False
-        program = program_from_code(self.enum_code)
-        if program is None:
+        machine = run_code(self.enum_code, index, max(budget, 0))
+        if machine is None:
             return None, 0, False
-        machine = Machine(program, index, max(budget, 0)).run()
         if machine.halted:
             text = decode_program_code(output_code(machine))
             formula = None

@@ -70,8 +70,7 @@ __all__ = [
     "tau_atom", "closed_tau_args", "segment_axiom", "segment_axiom_index",
     "axiom_member_T", "axiom_member_S", "enumerate_axioms",
     "TheoryHandle", "theory_T", "theory_S", "theory_by_name",
-    "Verdict", "PROVABLE", "REFUTABLE", "TRUE_IN_STD", "FALSE_IN_STD",
-    "independent_up_to", "unknown",
+    "Verdict", "TRUE_IN_STD", "FALSE_IN_STD", "unknown",
     "UnsupportedTermError", "decide_order_theory", "order_truth",
     "order_extension_derives", "eval_std",
 ]
@@ -272,8 +271,8 @@ def theory_by_name(name: str) -> TheoryHandle:
 # --------------------------------------------------------------------------
 # verdicts
 
-_BUDGETED_KINDS = ("independent-as-far-as-tested", "unknown")
-_KINDS = ("provable", "refutable", "true-in-std", "false-in-std") + _BUDGETED_KINDS
+_BUDGETED_KINDS = ("unknown",)
+_KINDS = ("true-in-std", "false-in-std") + _BUDGETED_KINDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,14 +294,8 @@ class Verdict:
         return f"{self.kind}({self.budget})"
 
 
-PROVABLE = Verdict("provable")
-REFUTABLE = Verdict("refutable")
 TRUE_IN_STD = Verdict("true-in-std")
 FALSE_IN_STD = Verdict("false-in-std")
-
-
-def independent_up_to(budget: int) -> Verdict:
-    return Verdict("independent-as-far-as-tested", int(budget))
 
 
 def unknown(budget: int) -> Verdict:

@@ -50,8 +50,8 @@ from .codec import (decimal_to_nat, decode_program_code, nat_to_decimal,
                     pair, program_code, unpair)
 
 __all__ = [
-    "TplSyntaxError", "TemplateError", "TplProgram", "Machine", "TauVerdict",
-    "parse_program", "program_from_code", "run_program", "tau", "tau_verdict", "run_output",
+    "TplSyntaxError", "TemplateError", "TplProgram", "Machine",
+    "parse_program", "program_from_code", "run_code", "tau",
     "output_code", "instantiate_template", "template_source",
 ]
 
@@ -371,12 +371,6 @@ class _Halted(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TauVerdict:
-    halted_within: bool
-    steps_used: int | None
-
-
 class Machine:
     """One budgeted run of a TPL program on one input."""
 
@@ -532,12 +526,10 @@ class Machine:
     def _simulate(self, e: int, x: int, t: int) -> "Machine | None":
         """Run coded program e on x, capped by both t and our remaining
         budget; charge whatever the inner run consumed."""
-        program = program_from_code(e)
-        if program is None:
-            return None
         cap = min(t, self.budget - self.steps)
-        inner = Machine(program, x, cap)
-        inner.run()
+        inner = run_code(e, x, cap)
+        if inner is None:
+            return None
         self._charge(inner.steps)
         if not inner.halted and inner.fault is None and cap < t:
             # the cap that stopped the run was ours, not the caller's t:
@@ -547,9 +539,7 @@ class Machine:
 
     def _taub(self, e, x, t):
         inner = self._simulate(e, x, t)
-        if inner is None:
-            return 0  # undecodable programs never halt
-        return 1 if inner.halted else 0
+        return 1 if inner is not None and inner.halted else 0  # undecodable: never halts
 
     def _runout(self, e, x, t):
         inner = self._simulate(e, x, t)
@@ -592,20 +582,14 @@ def program_from_code(e: int):
         return None
 
 
-def run_program(program, input_value: int, budget: int) -> Machine:
-    if isinstance(program, str):
-        program = parse_program(program)
-    return Machine(program, input_value, budget).run()
-
-
-def tau_verdict(e: int, x: int, t: int) -> TauVerdict:
+def run_code(e: int, x: int, t: int) -> Machine | None:
+    """The finished run of coded program e on input x within t steps, or
+    None when e decodes or parses to no program (such a code never halts).
+    """
     program = program_from_code(e)
     if program is None:
-        return TauVerdict(False, None)
-    machine = Machine(program, x, t).run()
-    if machine.halted:
-        return TauVerdict(True, machine.steps)
-    return TauVerdict(False, None)
+        return None
+    return Machine(program, x, t).run()
 
 
 def tau(e: int, x: int, t: int) -> bool:
@@ -614,16 +598,8 @@ def tau(e: int, x: int, t: int) -> bool:
     Total: every natural is a legal code; numbers that fail to decode or
     parse denote programs that never halt.
     """
-    return tau_verdict(e, x, t).halted_within
-
-
-def run_output(e: int, x: int, t: int) -> int | None:
-    """Final ``out`` (as a natural) if e halts on x within t, else None."""
-    program = program_from_code(e)
-    if program is None:
-        return None
-    machine = Machine(program, x, t).run()
-    return output_code(machine) if machine.halted else None
+    run = run_code(e, x, t)
+    return run is not None and run.halted
 
 
 # --------------------------------------------------------------------------

@@ -238,8 +238,8 @@ def test_small_numerals_do_not_load_decimal():
         "assert codec.nat_to_decimal(10**300) == '1' + '0' * 300",
         "assert codec.decimal_to_nat('9' * 3000) == 10**3000 - 1",
         "assert fol.format_formula(fol.parse_formula('#123456 < #78')) == '#123456 < #78'",
-        "assert tpl.run_program('x = 123456789; out = x + 1; halt;', 0, 10).env['out']"
-        " == 123456790",
+        "code = codec.program_code('x = 123456789; out = x + 1; halt;')",
+        "assert tpl.run_code(code, 0, 10).env['out'] == 123456790",
         "assert 'decimal' not in sys.modules, 'decimal was imported'",
     ])
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -20,7 +20,7 @@ from taulab.proofs import (
     identifier_rank, is_logical_axiom, parse_proof_script, proof_to_code,
     prove_search, schema_id, schema_matches, SCHEMA_NAMES,
 )
-from taulab.tpl import instantiate_template, run_program, template_source
+from taulab.tpl import Machine, instantiate_template, parse_program, template_source
 
 DATA = Path(__file__).parent / "data" / "proofs"
 
@@ -451,18 +451,18 @@ def test_checkproof_builtin_matches_the_host_checker(planted_oracle):
     e = nat_to_decimal(planted_oracle.enum_code)
     t = program_code("0 < #1")
     text = f"out = checkproof({e}, 10, {t}); halt;"
-    m = run_program(text, 0, 10 ** 6)
+    m = Machine(parse_program(text), 0, 10 ** 6).run()
     assert m.halted and m.env["out"] == 1
     host = check_coded_proof(planted_oracle.enum_code, 10, t, step_budget=10 ** 6)
     assert m.steps == 2 + host.consumed  # assign + halt + charged enumerator work
     # a three-bit perturbation of the proof code must not verify
-    m2 = run_program(f"out = checkproof({e}, 13, {t}); halt;", 0, 10 ** 6)
+    m2 = Machine(parse_program(f"out = checkproof({e}, 13, {t}); halt;"), 0, 10 ** 6).run()
     assert m2.halted and m2.env["out"] == 0
 
 
 def test_checkproof_on_a_target_with_non_ascii_digits_is_zero():
     assert check_coded_proof(0, 10, program_code("#\xb2 = 0"), 100).kind == "bad_target"
-    m = run_program('out = checkproof(0, 10, tonat("#\xb2 = 0")); halt;', 0, 100)
+    m = Machine(parse_program('out = checkproof(0, 10, tonat("#\xb2 = 0")); halt;'), 0, 100).run()
     assert m.halted and m.env["out"] == 0
 
 

@@ -21,7 +21,7 @@ from taulab.theories import (
     FALSE_IN_STD, FALSUM, ORDER_AXIOMS, PADDING, TRUE_IN_STD,
     TheoryHandle, UnsupportedTermError, Verdict,
     axiom_member_S, axiom_member_T, closed_tau_args, decide_order_theory,
-    enumerate_axioms, eval_std, independent_up_to, order_extension_derives,
+    enumerate_axioms, eval_std, order_extension_derives,
     order_truth, segment_axiom, segment_axiom_index, tau_atom, theory_S,
     theory_T, theory_by_name, unknown,
 )
@@ -220,13 +220,12 @@ def test_theory_handles():
 def test_verdict_shapes():
     assert str(TRUE_IN_STD) == "true-in-std"
     assert str(unknown(99)) == "unknown(99)"
-    assert str(independent_up_to(3)) == "independent-as-far-as-tested(3)"
     with pytest.raises(ValueError):
         Verdict("maybe")
     with pytest.raises(ValueError):
         Verdict("unknown")                 # budgeted kind without budget
     with pytest.raises(ValueError):
-        Verdict("provable", budget=5)      # unbudgeted kind with budget
+        Verdict("true-in-std", budget=5)   # unbudgeted kind with budget
 
 
 # --------------------------------------------------------------------------

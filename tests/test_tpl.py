@@ -14,13 +14,12 @@ from hypothesis import given, settings, strategies as st
 from taulab.codec import pair, program_code
 from taulab.tpl import (
     Machine, TemplateError, TplSyntaxError, instantiate_template, output_code,
-    parse_program, program_from_code, run_output, run_program, tau, tau_verdict,
-    template_source,
+    parse_program, program_from_code, run_code, tau, template_source,
 )
 
 
 def run(text, input_value=0, budget=10_000):
-    return run_program(text, input_value, budget)
+    return Machine(parse_program(text), input_value, budget).run()
 
 
 # --------------------------------------------------------------------------
@@ -75,8 +74,9 @@ def test_checkproof_works_whichever_module_is_imported_first(first):
     # proofs imports tpl, and the checkproof builtin calls back into proofs
     script = "\n".join([
         f"import {first}",
-        "from taulab.tpl import run_program",
-        "m = run_program('out = checkproof(0, 10, tonat(\"0 = 0\")); halt;', 0, 100)",
+        "from taulab.tpl import Machine, parse_program",
+        "p = parse_program('out = checkproof(0, 10, tonat(\"0 = 0\")); halt;')",
+        "m = Machine(p, 0, 100).run()",
         "assert m.halted and m.env['out'] == 0 and m.steps == 2, (m.halted, m.env, m.steps)",
     ])
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -89,7 +89,7 @@ def test_checkproof_works_whichever_module_is_imported_first(first):
 def test_halt_costs_exactly_one_step():
     m = run("halt;")
     assert m.halted and m.steps == 1
-    assert not run_program("halt;", 0, 0).halted
+    assert not run("halt;", 0, 0).halted
 
 
 def test_two_statements_cost_two_steps():
@@ -98,7 +98,7 @@ def test_two_statements_cost_two_steps():
 
 
 def test_empty_program_halts_at_zero_steps():
-    m = run_program("", 5, 0)
+    m = run("", 5, 0)
     assert m.halted and m.steps == 0
     assert tau(program_code(""), 123, 0) is True
     assert program_code("") == 0  # the least code is the empty program
@@ -125,8 +125,8 @@ def test_straight_line_programs_halt_at_exactly_their_length(k):
     assert tau(e, 0, k) is True
     if k > 0:
         assert tau(e, 0, k - 1) is False
-    verdict = tau_verdict(e, 0, k + 100)
-    assert verdict.halted_within and verdict.steps_used == k
+    finished = run_code(e, 0, k + 100)
+    assert finished.halted and finished.steps == k
 
 
 @settings(max_examples=30, deadline=None)
@@ -224,9 +224,12 @@ def test_divergence():
     e = program_code("while (1) { }")
     for t in (0, 1, 10, 1000):
         assert tau(e, 0, t) is False
-    assert run_output(e, 0, 1000) is None
+    finished = run_code(e, 0, 1000)     # a finished run that did not halt
+    assert isinstance(finished, Machine)
+    assert not finished.halted and finished.fault is None and finished.steps == 1000
     assert tau(1, 0, 1000) is False     # bit length not a multiple of 8
-    assert run_output(1, 0, 1000) is None
+    assert run_code(1, 0, 1000) is None
+    assert run_code(program_code("x = 1"), 0, 1000) is None  # text does not parse
 
 
 # --------------------------------------------------------------------------
@@ -252,12 +255,12 @@ def test_taub_verdicts():
 def test_inner_run_capped_by_outer_budget_is_not_a_verdict():
     loop = program_code("while (1) { }")
     text = f"out = taub({loop}, 0, 100); halt;"
-    m = run_program(text, 0, 50)
+    m = run(text, 0, 50)
     # the inner run consumed everything left; the outer machine is out of
     # budget, not halted, and reports no fault
     assert not m.halted and m.fault is None and m.steps == 50
     # with room to actually run 100 inner steps the verdict lands
-    m2 = run_program(text, 0, 102)
+    m2 = run(text, 0, 102)
     assert m2.halted and m2.env["out"] == 0 and m2.steps == 102
 
 
@@ -315,7 +318,12 @@ def test_runs_are_deterministic(which, x, t):
     a = Machine(program, x, t).run()
     b = Machine(program, x, t).run()
     assert (a.halted, a.steps, a.fault, a.env) == (b.halted, b.steps, b.fault, b.env)
-    assert tau_verdict(_POOL_CODES[which], x, t) == tau_verdict(_POOL_CODES[which], x, t)
+    # the run of the program's code is the same run, and the one behind tau
+    e = _POOL_CODES[which]
+    c, d = run_code(e, x, t), run_code(e, x, t)
+    assert (c.halted, c.steps, c.fault, c.env) == (d.halted, d.steps, d.fault, d.env) \
+        == (a.halted, a.steps, a.fault, a.env)
+    assert tau(e, x, t) == (c is not None and c.halted)
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +343,7 @@ def test_unbound_placeholder_is_an_error():
 
 def test_searcher_diverges_on_non_pair_inputs():
     program = instantiate_template("searcher", {"ENUM_CODE": 0, "POLARITY": "pos"})
-    m = run_program(program, 7, 5_000)   # 7 is not a pair
+    m = Machine(program, 7, 5_000).run()   # 7 is not a pair
     assert not m.halted and m.fault is not None
 
 
@@ -357,7 +365,7 @@ halt;
 
 def _enum_output(name: str, index: int, budget: int = 200_000) -> int | None:
     program = instantiate_template(name, {})
-    m = run_program(program, index, budget)
+    m = Machine(program, index, budget).run()
     return output_code(m) if m.halted else None
 
 
@@ -397,11 +405,11 @@ def test_planted_enumerator_shifts_the_base_stream():
     base_code = program_code(template_source("enum_t"))
     planted = instantiate_template(
         "planted_enum", {"AXIOM_TEXT": "0 < s(0)", "BASE_CODE": base_code})
-    m0 = run_program(planted, 0, 10_000)
+    m0 = Machine(planted, 0, 10_000).run()
     assert m0.halted and output_code(m0) == program_code("0 < s(0)")
-    m1 = run_program(planted, 1, 500_000)
+    m1 = Machine(planted, 1, 500_000).run()
     assert m1.halted and output_code(m1) == program_code("A x. A y. (x < y -> ~(y < x))")
-    m7 = run_program(planted, 7, 500_000)
+    m7 = Machine(planted, 7, 500_000).run()
     assert m7.halted and output_code(m7) == program_code("tau(0, 0, 0)")
 
 
