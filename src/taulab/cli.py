@@ -195,6 +195,14 @@ def _write_artifact(directory: Path, filename: str, text: str) -> None:
     (directory / filename).write_text(text, encoding="ascii")
 
 
+def _program_artifact(report: _Report, directory: Path, key: str,
+                      filename: str, code: int) -> None:
+    """Write the program that ``code`` codes; report its file and bit size."""
+    _write_artifact(directory, filename, decode_program_code(code))
+    report.add(f"{key}-file", filename)
+    report.add(f"{key}-bits", code.bit_length())
+
+
 def _out_dir(args) -> Path:
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
@@ -415,17 +423,13 @@ def _cmd_construct_craig(args) -> int:
     _, code = _program_file(args.enumerator)
     artifact = craig(code, step_budget=_env_budget("LAB_STEP_BUDGET"))
     directory = _out_dir(args)
-    _write_artifact(directory, "craig_decider.tpl",
-                    decode_program_code(artifact.decider_code))
-    _write_artifact(directory, "craig_prefixes.tpl",
-                    decode_program_code(artifact.prefix_code))
     report = _Report()
     report.add("enumerator", args.enumerator)
     report.add("enumerator-bits", code.bit_length())
-    report.add("decider-file", "craig_decider.tpl")
-    report.add("decider-bits", artifact.decider_code.bit_length())
-    report.add("prefixes-file", "craig_prefixes.tpl")
-    report.add("prefixes-bits", artifact.prefix_code.bit_length())
+    _program_artifact(report, directory, "decider", "craig_decider.tpl",
+                      artifact.decider_code)
+    _program_artifact(report, directory, "prefixes", "craig_prefixes.tpl",
+                      artifact.prefix_code)
     report.add("axiom-0", format_formula(artifact.axiom(0)))
     report.add("prefix-2", format_formula(artifact.prefix(2)))
     report.emit(directory, "craig.report")
@@ -436,13 +440,11 @@ def _cmd_construct_kleene(args) -> int:
     _, code = _program_file(args.enumerator)
     searcher, sentence = kleene_sentence(code)
     directory = _out_dir(args)
-    _write_artifact(directory, "searcher.tpl", decode_program_code(searcher))
-    _write_artifact(directory, "sentence.fol", format_formula(sentence))
     report = _Report()
     report.add("enumerator", args.enumerator)
     report.add("enumerator-bits", code.bit_length())
-    report.add("searcher-file", "searcher.tpl")
-    report.add("searcher-bits", searcher.bit_length())
+    _program_artifact(report, directory, "searcher", "searcher.tpl", searcher)
+    _write_artifact(directory, "sentence.fol", format_formula(sentence))
     report.add("sentence-file", "sentence.fol")
     report.emit(directory, "kleene.report")
     return SUCCESS
@@ -452,19 +454,15 @@ def _cmd_construct_rosser(args) -> int:
     _, code = _program_file(args.enumerator)
     artifact = rosser_pair(code)
     directory = _out_dir(args)
-    _write_artifact(directory, "searcher_neg.tpl",
-                    decode_program_code(artifact.negative))
-    _write_artifact(directory, "searcher_pos.tpl",
-                    decode_program_code(artifact.positive))
-    _write_artifact(directory, "sentence.fol",
-                    format_formula(artifact.sentence))
     report = _Report()
     report.add("enumerator", args.enumerator)
     report.add("enumerator-bits", code.bit_length())
-    report.add("negative-file", "searcher_neg.tpl")
-    report.add("negative-bits", artifact.negative.bit_length())
-    report.add("positive-file", "searcher_pos.tpl")
-    report.add("positive-bits", artifact.positive.bit_length())
+    _program_artifact(report, directory, "negative", "searcher_neg.tpl",
+                      artifact.negative)
+    _program_artifact(report, directory, "positive", "searcher_pos.tpl",
+                      artifact.positive)
+    _write_artifact(directory, "sentence.fol",
+                    format_formula(artifact.sentence))
     report.add("sentence-file", "sentence.fol")
     report.add("plant", args.plant if args.plant else "none")
     exit_code = SUCCESS
@@ -492,13 +490,11 @@ def _cmd_construct_diagonal(args) -> int:
     report_data = diagonal(code, step_budget=_env_budget("LAB_STEP_BUDGET"),
                            search_budget=args.budget)
     directory = _out_dir(args)
-    _write_artifact(directory, "diagonal.tpl",
-                    decode_program_code(report_data.diagonal_code))
     report = _Report()
     report.add("decider", args.decider)
     report.add("decider-bits", code.bit_length())
-    report.add("diagonal-file", "diagonal.tpl")
-    report.add("diagonal-bits", report_data.diagonal_code.bit_length())
+    _program_artifact(report, directory, "diagonal", "diagonal.tpl",
+                      report_data.diagonal_code)
     claimed = report_data.claimed
     report.add("claimed", "none" if claimed is None
                else ("provable" if claimed else "not-provable"))
@@ -522,8 +518,6 @@ def _cmd_construct_rice(args) -> int:
     artifact = rice_reduce(scrutinized, base, trigger,
                            step_budget=_env_budget("LAB_STEP_BUDGET"))
     directory = _out_dir(args)
-    _write_artifact(directory, "rice_enum.tpl",
-                    decode_program_code(artifact.enumerator_code))
     report = _Report()
     report.add("scrutinized", args.scrutinized)
     report.add("scrutinized-bits", scrutinized.bit_length())
@@ -531,8 +525,8 @@ def _cmd_construct_rice(args) -> int:
     report.add("base-bits", base.bit_length())
     report.add("trigger", format_formula(trigger))
     report.add("contradiction", format_formula(artifact.contradiction))
-    report.add("enumerator-file", "rice_enum.tpl")
-    report.add("enumerator-bits", artifact.enumerator_code.bit_length())
+    _program_artifact(report, directory, "enumerator", "rice_enum.tpl",
+                      artifact.enumerator_code)
     report.emit(directory, "rice.report")
     return SUCCESS
 

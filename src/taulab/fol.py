@@ -28,7 +28,6 @@ axioms), so they stay safe at depths far beyond the interpreter stack.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -64,21 +63,14 @@ class FreeVariableError(FolError):
         super().__init__(f"sentence required, free variables: {', '.join(self.names)}")
 
 
-_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
 class Node:
-    """Shared structural behaviour for terms and formulas."""
+    """Shared structural behaviour for terms and formulas.
+
+    Every concrete node is a dataclass, so ``type(n).__match_args__`` names
+    its fields in declaration order.
+    """
 
     __slots__ = ()
-
-    def _field_names(self) -> tuple[str, ...]:
-        cls = type(self)
-        names = _FIELDS.get(cls)
-        if names is None:
-            names = tuple(f.name for f in dataclasses.fields(cls))
-            _FIELDS[cls] = names
-        return names
 
     def __eq__(self, other):
         if self is other:
@@ -92,7 +84,7 @@ class Node:
                 continue
             if type(a) is not type(b):
                 return False
-            for name in a._field_names():
+            for name in type(a).__match_args__:
                 va = getattr(a, name)
                 vb = getattr(b, name)
                 if isinstance(va, Node):
@@ -112,13 +104,13 @@ class Node:
             key = id(node)
             if ready:
                 parts: list = [type(node).__name__]
-                for name in node._field_names():
+                for name in type(node).__match_args__:
                     v = getattr(node, name)
                     parts.append(memo[id(v)] if isinstance(v, Node) else v)
                 memo[key] = hash(tuple(parts))
             elif key not in memo:
                 stack.append((node, True))
-                for name in node._field_names():
+                for name in type(node).__match_args__:
                     v = getattr(node, name)
                     if isinstance(v, Node):
                         stack.append((v, False))
@@ -254,7 +246,7 @@ def free_vars(node: Node) -> frozenset[str]:
         elif isinstance(n, _QUANT):
             stack.append((n.body, bound | {n.var}))
         else:
-            for name in n._field_names():
+            for name in type(n).__match_args__:
                 v = getattr(n, name)
                 if isinstance(v, Node):
                     stack.append((v, bound))
@@ -271,7 +263,7 @@ def walk(node: Node) -> Iterator[Node]:
     while stack:
         n = stack.pop()
         yield n
-        for name in reversed(n._field_names()):
+        for name in reversed(type(n).__match_args__):
             v = getattr(n, name)
             if isinstance(v, Node):
                 stack.append(v)

@@ -144,7 +144,7 @@ def _candidate_terms(body: Node, result: Node, var: str) -> list:
             if isinstance(a, (Forall, Exists)):
                 stack.append((a.body, b.body, active and a.var != var))
             else:
-                for name in a._field_names():
+                for name in type(a).__match_args__:
                     va = getattr(a, name)
                     if isinstance(va, Node):
                         stack.append((va, getattr(b, name), active))
@@ -216,7 +216,7 @@ def _instantiates(shape: Node, side, f) -> bool:
         elif type(pattern) is not type(node):
             return False
         else:
-            for name in pattern._field_names():
+            for name in type(pattern).__match_args__:
                 stack.append((getattr(pattern, name), getattr(node, name)))
     return side is None or side(bound)
 
@@ -241,6 +241,17 @@ def is_logical_axiom(f: Formula) -> str | None:
         if _instantiates(shape, side, f):
             return name
     return None
+
+
+def _parse_coded_formula(code: int) -> Formula | None:
+    """The formula whose text ``code`` packs, or None."""
+    text = decode_program_code(code)
+    if text is None:
+        return None
+    try:
+        return parse_formula(text)
+    except FolError:
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -274,13 +285,7 @@ class EnumeratorIndexed:
         if machine is None:
             return None, 0, False
         if machine.halted:
-            text = decode_program_code(output_code(machine))
-            formula = None
-            if text is not None:
-                try:
-                    formula = parse_formula(text)
-                except FolError:
-                    formula = None
+            formula = _parse_coded_formula(output_code(machine))
             if self._memo is not None and formula is not None:
                 self._memo[index] = formula
             return formula, machine.steps, False
@@ -461,13 +466,12 @@ def proof_to_code(proof: Proof) -> int:
     return pair(len(codes), fold)
 
 
-def code_to_proof(n: int, axioms=None) -> Proof | None:
+def code_to_proof(n: int) -> Proof | None:
     """Invert proof_to_code; None on any structural mismatch.
 
     Formulas of modus-ponens and generalization steps are rederived from
-    their premises; theory-axiom formulas are filled through ``axioms``
-    (an index -> Formula | None callable) when given, else left None for
-    check_proof to materialize.
+    their premises; theory-axiom formulas are left None for check_proof to
+    materialize.
     """
     top = unpair(n)
     if top is None:
@@ -501,17 +505,12 @@ def code_to_proof(n: int, axioms=None) -> Proof | None:
             sid, fcode = inner
             if sid >= len(_SCHEMAS):
                 return None
-            text = decode_program_code(fcode)
-            if text is None:
-                return None
-            try:
-                formula = parse_formula(text)
-            except FolError:
+            formula = _parse_coded_formula(fcode)
+            if formula is None:
                 return None
             steps.append(ProofStep(formula, LogicalAxiom(SCHEMA_NAMES[sid])))
         elif tag == _TAG_THEORY:
-            formula = axioms(payload) if axioms is not None else None
-            steps.append(ProofStep(formula, TheoryAxiom(payload)))
+            steps.append(ProofStep(None, TheoryAxiom(payload)))
         elif tag == _TAG_MP:
             inner = unpair(payload)
             if inner is None:
@@ -541,18 +540,10 @@ def code_to_proof(n: int, axioms=None) -> Proof | None:
     return Proof(tuple(steps))
 
 
-@lru_cache(maxsize=256)
-def _formula_from_code(sentence_code: int) -> Formula | None:
-    # Searcher programs ask about the same (often kilobytes-long) target
-    # text millions of times; formulas are immutable, so decoding once per
-    # distinct code is observationally identical.
-    text = decode_program_code(sentence_code)
-    if text is None:
-        return None
-    try:
-        return parse_formula(text)
-    except FolError:
-        return None
+# Searcher programs ask about the same (often kilobytes-long) target text
+# millions of times; formulas are immutable, so decoding once per distinct
+# code is observationally identical.
+_formula_from_code = lru_cache(maxsize=256)(_parse_coded_formula)
 
 
 # (code, formula) of the last target looked up.  A searcher passes the

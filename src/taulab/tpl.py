@@ -41,6 +41,7 @@ run from "not yet" to "halted", never the reverse.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -124,12 +125,6 @@ class TplProgram:
 
 
 _KEYWORDS = {"if", "else", "while", "halt"}
-_BUILTINS = {
-    "len": 1, "concat": 2, "substr": 3, "charat": 2,
-    "tonat": 1, "tostr": 1,
-    "pairN": 2, "unpairL": 1, "unpairR": 1, "inrange": 1,
-    "taub": 3, "runout": 3, "checkproof": 3,
-}
 
 
 # --------------------------------------------------------------------------
@@ -342,10 +337,10 @@ class _TplParser:
                     self.next()
                     args.append(self.expr())
                 self.expect(")")
-                if len(args) != _BUILTINS[name]:
-                    raise TplSyntaxError(
-                        f"{name} takes {_BUILTINS[name]} arguments, got {len(args)}",
-                        tok.line, tok.column)
+                arity = len(_BUILTINS[name][0])
+                if len(args) != arity:
+                    raise TplSyntaxError(f"{name} takes {arity} arguments, got {len(args)}",
+                                         tok.line, tok.column)
                 return Call(name, tuple(args))
             return Name(name)
         self.fail("expected an expression")
@@ -365,10 +360,6 @@ class _OutOfBudget(Exception):
 class _Fault(Exception):
     def __init__(self, message: str):
         self.message = message
-
-
-class _Halted(Exception):
-    pass
 
 
 class Machine:
@@ -394,8 +385,6 @@ class Machine:
         try:
             self._loop()
             self.halted = True
-        except _Halted:
-            self.halted = True
         except _OutOfBudget:
             self.steps = self.budget
         except _Fault as f:
@@ -412,34 +401,32 @@ class Machine:
                 continue
             stmt = stmts[idx]
             cls = type(stmt)
+            self._charge(1)
             if cls is Assign:
-                self._charge(1)
                 value = self._eval(stmt.expr)
                 self.env[stmt.name] = value
                 top[1] = idx + 1
             elif cls is If:
-                self._charge(1)
                 branch = stmt.then if _truthy(self._eval(stmt.cond)) else stmt.other
                 top[1] = idx + 1
                 if branch:
                     frames.append([branch, 0])
             elif cls is While:
-                self._charge(1)
                 if _truthy(self._eval(stmt.cond)):
                     if stmt.body:
                         frames.append([stmt.body, 0])
                 else:
                     top[1] = idx + 1
             else:  # Halt
-                self._charge(1)
-                raise _Halted
+                return
 
     def _charge(self, k: int):
         if self.steps + k > self.budget:
             raise _OutOfBudget
         self.steps += k
 
-    # -- expressions
+    # -- expressions: one frame per level, operands and arguments are all
+    # evaluated before any of their types is checked
 
     def _eval(self, e):
         cls = type(e)
@@ -451,77 +438,24 @@ class Machine:
             except KeyError:
                 raise _Fault(f"undefined variable {e.name!r}") from None
         if cls is BinOp:
-            return self._binop(e.op, self._eval(e.left), self._eval(e.right))
-        return self._call(e.name, [self._eval(a) for a in e.args])
+            a = self._eval(e.left)
+            b = self._eval(e.right)
+            if e.op == "==":
+                return 1 if (type(a) is type(b) and a == b) else 0
+            if type(a) is not int or type(b) is not int:
+                raise _Fault(f"{e.op} needs a natural, got a string")
+            return _BINOPS[e.op](a, b)
+        types, builtin = _BUILTINS[e.name]
+        args = [self._eval(a) for a in e.args]
+        i = 0
+        for want in types:  # zip() costs more than this loop
+            if type(args[i]) is not want:
+                raise _Fault(f"{e.name} needs a {_TYPE_NAMES[want]}, "
+                             f"got a {_TYPE_NAMES[type(args[i])]}")
+            i += 1
+        return builtin(self, *args)
 
-    def _binop(self, op, a, b):
-        if op == "==":
-            return 1 if (type(a) is type(b) and a == b) else 0
-        an = self._nat(op, a)
-        bn = self._nat(op, b)
-        if op == "+":
-            return an + bn
-        if op == "-":
-            return an - bn if an > bn else 0
-        if op == "*":
-            return an * bn
-        if op == "/":
-            return 0 if bn == 0 else an // bn
-        if op == "%":
-            return an if bn == 0 else an % bn
-        if op == "<":
-            return 1 if an < bn else 0
-        return 1 if an <= bn else 0  # <=
-
-    def _nat(self, where, v):
-        if type(v) is int:
-            return v
-        raise _Fault(f"{where} needs a natural, got a string")
-
-    def _str(self, where, v):
-        if type(v) is str:
-            return v
-        raise _Fault(f"{where} needs a string, got a natural")
-
-    # -- builtins
-
-    def _call(self, name, args):
-        if name == "len":
-            return len(self._str("len", args[0]))
-        if name == "concat":
-            return self._str("concat", args[0]) + self._str("concat", args[1])
-        if name == "substr":
-            s = self._str("substr", args[0])
-            i = self._nat("substr", args[1])
-            k = self._nat("substr", args[2])
-            return s[min(i, len(s)):min(i + k, len(s))]
-        if name == "charat":
-            s = self._str("charat", args[0])
-            i = self._nat("charat", args[1])
-            return s[i] if i < len(s) else ""
-        if name == "tonat":
-            return program_code(self._str("tonat", args[0]))
-        if name == "tostr":
-            text = decode_program_code(self._nat("tostr", args[0]))
-            if text is None:
-                raise _Fault("tostr: code is not a packed string")
-            return text
-        if name == "pairN":
-            return pair(self._nat("pairN", args[0]), self._nat("pairN", args[1]))
-        if name in ("unpairL", "unpairR"):
-            parts = unpair(self._nat(name, args[0]))
-            if parts is None:
-                raise _Fault(f"{name}: number is not a pair")
-            return parts[0] if name == "unpairL" else parts[1]
-        if name == "inrange":
-            return 1 if unpair(self._nat("inrange", args[0])) is not None else 0
-        if name == "taub":
-            return self._taub(*(self._nat("taub", a) for a in args))
-        if name == "runout":
-            return self._runout(*(self._nat("runout", a) for a in args))
-        if name == "checkproof":
-            return self._checkproof(*(self._nat("checkproof", a) for a in args))
-        raise _Fault(f"unknown builtin {name!r}")  # unreachable after parsing
+    # -- simulating builtins
 
     def _simulate(self, e: int, x: int, t: int) -> "Machine | None":
         """Run coded program e on x, capped by both t and our remaining
@@ -556,6 +490,54 @@ class Machine:
         if result.kind == "budget":
             raise _OutOfBudget
         return 1 if result.ok else 0
+
+
+# Both operands of these operators must be naturals; ``==`` compares any
+# two values and is evaluated on its own.
+_BINOPS = {
+    "+": operator.add,
+    "-": lambda a, b: a - b if a > b else 0,
+    "*": operator.mul,
+    "/": lambda a, b: 0 if b == 0 else a // b,
+    "%": lambda a, b: a if b == 0 else a % b,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+}
+
+_TYPE_NAMES = {int: "natural", str: "string"}
+
+
+def _tostr(m, n):
+    text = decode_program_code(n)
+    if text is None:
+        raise _Fault("tostr: code is not a packed string")
+    return text
+
+
+def _unpair(name, p):
+    parts = unpair(p)
+    if parts is None:
+        raise _Fault(f"{name}: number is not a pair")
+    return parts
+
+
+# name -> (argument types, implementation taking the machine first).  The
+# parser takes each builtin's arity from here and reserves its name.
+_BUILTINS = {
+    "len": ((str,), lambda m, s: len(s)),
+    "concat": ((str, str), lambda m, a, b: a + b),
+    "substr": ((str, int, int), lambda m, s, i, k: s[min(i, len(s)):min(i + k, len(s))]),
+    "charat": ((str, int), lambda m, s, i: s[i] if i < len(s) else ""),
+    "tonat": ((str,), lambda m, s: program_code(s)),
+    "tostr": ((int,), _tostr),
+    "pairN": ((int, int), lambda m, a, b: pair(a, b)),
+    "unpairL": ((int,), lambda m, p: _unpair("unpairL", p)[0]),
+    "unpairR": ((int,), lambda m, p: _unpair("unpairR", p)[1]),
+    "inrange": ((int,), lambda m, p: 1 if unpair(p) is not None else 0),
+    "taub": ((int, int, int), Machine._taub),
+    "runout": ((int, int, int), Machine._runout),
+    "checkproof": ((int, int, int), Machine._checkproof),
+}
 
 
 def _truthy(v) -> bool:

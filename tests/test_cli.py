@@ -100,6 +100,16 @@ def test_run_reports_budget_exhaustion(capsys, tmp_path):
     assert "halted: no" in out and "steps: 50" in out
 
 
+def test_run_reports_a_fault(capsys, tmp_path):
+    source = tmp_path / "p.tpl"
+    source.write_text('x = 1;\nout = concat("a", x);\nhalt;\n', encoding="ascii")
+    code, out, err = run(capsys, "tpl", "run", source, "--input", "0")
+    assert (code, err) == (1, "")
+    assert out == ("halted: no\n"
+                   "steps: 2\n"
+                   "fault: concat needs a string, got a natural\n")
+
+
 def test_run_rejects_a_malformed_program(capsys, tmp_path):
     source = tmp_path / "p.tpl"
     source.write_text("out = ;", encoding="ascii")

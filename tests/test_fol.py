@@ -305,6 +305,28 @@ def test_deep_quantifier_prefix_round_trips():
     assert parse_formula(text) == f
 
 
+# Recursive paths: these depths, about half of what parses today, work only
+# because importing taulab raises the recursion limit (each raises
+# RecursionError at Python's default limit).
+
+def test_deeply_parenthesized_formula_parses():
+    assert parse_formula("(" * 1500 + "0 = 0" + ")" * 1500) == Eq(Num(0), Num(0))
+
+
+def test_deep_negation_chain_round_trips():
+    f = Eq(Num(0), Num(0))
+    for _ in range(10_000):
+        f = Not(f)
+    text = format_formula(f)
+    assert text == "~" * 10_000 + "(0 = 0)"
+    assert parse_formula(text) == f
+
+
+def test_long_left_nested_conjunction_round_trips():
+    f = conjoin_left([Less(x, Num(i)) for i in range(1500)])
+    assert parse_formula(format_formula(f)) == f
+
+
 # --------------------------------------------------------------------------
 # properties
 

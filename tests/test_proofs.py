@@ -409,7 +409,7 @@ def test_vendored_scripts_check_out(name):
     assert result.ok, f"{name}: {result.kind} at step {result.step}"
     # and their structural codes replay through the numeric checker
     code = proof_to_code(proof)
-    decoded = code_to_proof(code, axioms=None)
+    decoded = code_to_proof(code)
     assert proof_to_code(decoded) == code
 
 

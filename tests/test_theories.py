@@ -14,8 +14,8 @@ from conftest import random_order_sentences
 from taulab.codec import pair, program_code
 from taulab.fol import (
     Eq, Forall, Iff, Less, Not, Num, Or, Var,
-    FreeVariableError, disjoin_right, format_formula, parse_formula,
-    parse_sentence,
+    FreeVariableError, conjoin_left, disjoin_right, format_formula,
+    parse_formula, parse_sentence, substitute,
 )
 from taulab.theories import (
     FALSE_IN_STD, FALSUM, ORDER_AXIOMS, PADDING, TRUE_IN_STD,
@@ -97,6 +97,20 @@ def test_segment_near_misses_inside_the_spine(k):
         disjuncts = [change.get(i, d) for i, d in enumerate(canon)]
         assert segment_axiom_index(segment(disjuncts)) is None, what
     assert segment_axiom_index(segment(canon + [Eq(x, Num(k))])) is None
+
+
+# Recursive paths: these sizes work only because importing taulab raises the
+# recursion limit (each raises RecursionError at Python's default limit).
+
+def test_substitution_into_a_large_segment_axiom():
+    k = 10_000
+    got = substitute(segment_axiom(k).body, "x", Num(3))
+    assert got == Iff(Less(Num(3), Num(k)),
+                      disjoin_right([Eq(Num(3), Num(i)) for i in range(k)]))
+
+
+def test_order_truth_of_a_long_left_nested_conjunction():
+    assert order_truth(conjoin_left([Less(Num(i), Num(i + 1)) for i in range(10_000)]))
 
 
 def test_closed_tau_args():

@@ -5,14 +5,17 @@ statement, headers cost one per evaluation, simulation builtins add their
 inner consumption) and frozen here as literals.
 """
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulab.codec import pair, program_code
 from taulab.tpl import (
+    _BUILTINS,
     Machine, TemplateError, TplSyntaxError, instantiate_template, output_code,
     parse_program, program_from_code, run_code, tau, template_source,
 )
@@ -220,6 +223,68 @@ def test_faults_never_halt(text):
     assert tau(program_code(text), 0, 10_000) is False
 
 
+_NAT = "{} needs a natural, got a string"
+_STR = "{} needs a string, got a natural"
+_HALT = program_code("halt;")
+
+
+# `taulab tpl run` prints these texts as `fault: ...`, so they are pinned
+# verbatim: every builtin with a wrong type in each argument position, every
+# typed operator with a string on either side, and the builtin-specific
+# faults.
+@pytest.mark.parametrize("expr, fault", [
+    ("len(1)", _STR.format("len")),
+    ('concat(1, "b")', _STR.format("concat")),
+    ('concat("a", 2)', _STR.format("concat")),
+    ("substr(1, 0, 0)", _STR.format("substr")),
+    ('substr("a", "b", 0)', _NAT.format("substr")),
+    ('substr("a", 0, "b")', _NAT.format("substr")),
+    ("charat(1, 0)", _STR.format("charat")),
+    ('charat("a", "b")', _NAT.format("charat")),
+    ("tonat(5)", _STR.format("tonat")),
+    ('tostr("a")', _NAT.format("tostr")),
+    ('pairN("a", 1)', _NAT.format("pairN")),
+    ('pairN(1, "a")', _NAT.format("pairN")),
+    ('unpairL("a")', _NAT.format("unpairL")),
+    ('unpairR("a")', _NAT.format("unpairR")),
+    ('inrange("a")', _NAT.format("inrange")),
+    ('taub("a", 0, 0)', _NAT.format("taub")),
+    ('taub(0, "a", 0)', _NAT.format("taub")),
+    ('taub(0, 0, "a")', _NAT.format("taub")),
+    ('runout("a", 0, 0)', _NAT.format("runout")),
+    ('runout(0, "a", 0)', _NAT.format("runout")),
+    ('runout(0, 0, "a")', _NAT.format("runout")),
+    ('checkproof("a", 0, 0)', _NAT.format("checkproof")),
+    ('checkproof(0, "a", 0)', _NAT.format("checkproof")),
+    ('checkproof(0, 0, "a")', _NAT.format("checkproof")),
+    *[(f'"a" {op} 1', _NAT.format(op)) for op in ("+", "-", "*", "/", "%", "<", "<=")],
+    *[(f'1 {op} "a"', _NAT.format(op)) for op in ("+", "-", "*", "/", "%", "<", "<=")],
+    ("y", "undefined variable 'y'"),
+    ("tostr(1)", "tostr: code is not a packed string"),
+    ("unpairL(7)", "unpairL: number is not a pair"),
+    ("unpairR(7)", "unpairR: number is not a pair"),
+    ("runout(1, 0, 5)", "runout: program never halts"),
+    (f"runout({_HALT}, 0, 0)", "runout: program did not halt within the bound"),
+    # every argument and operand is evaluated before any type is checked,
+    # and types are checked in argument order
+    ("concat(1, y)", "undefined variable 'y'"),
+    ('"a" + y', "undefined variable 'y'"),
+    ('substr(1, "b", 0)', _STR.format("substr")),
+])
+def test_fault_messages(expr, fault):
+    m = run(f"x = {expr}; halt;")
+    assert (m.halted, m.fault, m.steps) == (False, fault, 1)
+
+
+def test_builtin_table_in_the_docs_matches_the_interpreter():
+    docs = Path(__file__).resolve().parents[1] / "docs" / "tpl.md"
+    rows = re.findall(r"^\| (`.*?) \|", docs.read_text(encoding="utf-8"), re.M)
+    documented = {name: len(args.split(","))
+                  for row in rows
+                  for name, args in re.findall(r"`(\w+)\(([^)]*)\)`", row)}
+    assert documented == {name: len(types) for name, (types, _) in _BUILTINS.items()}
+
+
 def test_divergence():
     e = program_code("while (1) { }")
     for t in (0, 1, 10, 1000):
@@ -230,6 +295,25 @@ def test_divergence():
     assert tau(1, 0, 1000) is False     # bit length not a multiple of 8
     assert run_code(1, 0, 1000) is None
     assert run_code(program_code("x = 1"), 0, 1000) is None  # text does not parse
+
+
+# --------------------------------------------------------------------------
+# deep expressions: the parser and the evaluator recurse, and these depths
+# (about half of what parses today) work only because importing taulab raises
+# the recursion limit
+
+def test_deeply_parenthesized_expression_halts():
+    m = run("out = " + "(" * 2000 + "1" + ")" * 2000 + "; halt;")
+    assert m.halted and m.env["out"] == 1
+
+
+def test_long_sum_evaluates():
+    # one left-nested chain of 10 000 additions, one evaluator frame each
+    assert probe("0" + " + 1" * 10_000) == 10_000
+
+
+def test_deeply_nested_builtin_calls_evaluate():
+    assert probe("len(" + "tostr(tonat(" * 1000 + '"ab"' + "))" * 1000 + ")") == 2
 
 
 # --------------------------------------------------------------------------
