@@ -481,6 +481,9 @@ def code_to_proof(n: int) -> Proof | None:
         return Proof(()) if fold == 0 else None
     if length > _MAX_DECODED_STEPS:
         return None
+    # Step code 0 is schema 0 on the empty text, which never parses, so a
+    # zero step code rejects the whole code; once the fold reaches 0 every
+    # further peel would yield one.
     codes = []
     cur = fold
     for _ in range(length - 1):
@@ -488,7 +491,11 @@ def code_to_proof(n: int) -> Proof | None:
         if parts is None:
             return None
         cur, last = parts
+        if last == 0:
+            return None
         codes.append(last)
+    if cur == 0:
+        return None
     codes.append(cur)
     codes.reverse()
 

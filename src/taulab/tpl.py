@@ -118,6 +118,21 @@ class Halt:
     pass
 
 
+@dataclass(frozen=True, slots=True)
+class DigitLoop:
+    """The templates' decimal-digit loop over naturals ``v`` and text ``d``,
+    ``loop`` being that very ``While`` (see _digit_loop_shape)::
+
+        while (0 < v) { d = concat(charat("0123456789", v % 10), d); v = v / 10; }
+
+    The machine runs it with one host conversion, charging and leaving
+    ``env`` exactly as the statement-by-statement loop would.
+    """
+    v: str
+    d: str
+    loop: While
+
+
 @dataclass(frozen=True)
 class TplProgram:
     source: str
@@ -282,7 +297,7 @@ class _TplParser:
             self.expect("(")
             cond = self.expr()
             self.expect(")")
-            return While(cond, self.block())
+            return _recognise(While(cond, self.block()))
         if word in _KEYWORDS or word in _BUILTINS:
             self.fail(f"{word!r} cannot be assigned")
         self.next()
@@ -344,6 +359,27 @@ class _TplParser:
                 return Call(name, tuple(args))
             return Name(name)
         self.fail("expected an expression")
+
+
+def _digit_loop_shape(v: str, d: str) -> While:
+    return While(BinOp("<", Lit(0), Name(v)), (
+        Assign(d, Call("concat", (
+            Call("charat", (Lit("0123456789"), BinOp("%", Name(v), Lit(10)))),
+            Name(d)))),
+        Assign(v, BinOp("/", Name(v), Lit(10))),
+    ))
+
+
+def _recognise(loop: While):
+    """``loop`` as a DigitLoop when it has exactly the digit loop's shape."""
+    cond, body = loop.cond, loop.body
+    if type(cond) is not BinOp or type(cond.right) is not Name \
+            or not body or type(body[0]) is not Assign:
+        return loop
+    v, d = cond.right.name, body[0].name
+    if v == d or loop != _digit_loop_shape(v, d):
+        return loop
+    return DigitLoop(v, d, loop)
 
 
 def parse_program(text: str) -> TplProgram:
@@ -417,8 +453,44 @@ class Machine:
                         frames.append([stmt.body, 0])
                 else:
                     top[1] = idx + 1
+            elif cls is DigitLoop:
+                # with v or d missing or mistyped, the loop's own header
+                # faults or exits, or else its body faults
+                if self._digits(stmt) or not _truthy(self._eval(stmt.loop.cond)):
+                    top[1] = idx + 1
+                else:
+                    frames.append([stmt.loop.body, 0])
             else:  # Halt
                 return
+
+    def _digits(self, stmt: DigitLoop) -> bool:
+        """Finish a digit loop whose first header step is charged; False,
+        changing nothing, when ``v`` is not a natural or ``d`` not a text.
+
+        Each digit costs 3 steps (two assignments and the next header).
+        When the budget ends first, ``env`` and the frames are left as the
+        statement-by-statement run leaves them: q whole digits done, then
+        r < 3 more statements.
+        """
+        env = self.env
+        v, d = env.get(stmt.v), env.get(stmt.d)
+        if type(v) is not int or type(d) is not str:
+            return False
+        text = nat_to_decimal(v) if v else ""  # str() raises past 4300 digits
+        n = len(text)
+        left = self.budget - self.steps
+        if 3 * n <= left:
+            env[stmt.d] = text + d
+            env[stmt.v] = 0
+            self.steps += 3 * n
+            return True
+        q, r = divmod(left, 3)
+        env[stmt.d] = text[n - q - (r >= 1):] + d
+        env[stmt.v] = v // 10 ** (q + (r >= 2))
+        if r < 2:  # stopped inside the body, before statement r
+            self._frames.append([stmt.loop.body, r])
+        self.steps = self.budget
+        raise _OutOfBudget
 
     def _charge(self, k: int):
         if self.steps + k > self.budget:

@@ -5,13 +5,14 @@ single-step ceiling 10405, the three-step example 15194407) were computed
 by hand from the pairing polynomial before the encoder existed.
 """
 
+import random
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taulab.codec import nat_to_decimal, pair, program_code
+from taulab.codec import nat_to_decimal, pair, program_code, unpair
 from taulab.fol import Forall, Imp, Num, parse_formula
 from taulab.proofs import (
     CheckResult, EnumeratorIndexed, Gen, HostDecider, LogicalAxiom,
@@ -19,6 +20,8 @@ from taulab.proofs import (
     check_proof, code_to_proof, format_proof_script, identifier_from_rank,
     identifier_rank, is_logical_axiom, parse_proof_script, proof_to_code,
     prove_search, schema_id, schema_matches, SCHEMA_NAMES,
+    _MAX_DECODED_STEPS, _SCHEMAS, _TAG_GEN, _TAG_LOGICAL, _TAG_MP, _TAG_THEORY,
+    _parse_coded_formula,
 )
 from taulab.tpl import Machine, instantiate_template, parse_program, template_source
 
@@ -286,6 +289,130 @@ def test_code_to_proof_on_junk_is_none_or_a_proof():
 
 def test_code_to_proof_on_non_ascii_digits_is_none():
     assert code_to_proof(pair(1, pair(0, pair(0, program_code("#\xb2 = #\xb2"))))) is None
+
+
+# The decoder before it rejected zero step codes early, kept verbatim as
+# the reference for the differential tests below.
+def _parent_code_to_proof(n: int) -> Proof | None:
+    """Invert proof_to_code; None on any structural mismatch.
+
+    Formulas of modus-ponens and generalization steps are rederived from
+    their premises; theory-axiom formulas are left None for check_proof to
+    materialize.
+    """
+    top = unpair(n)
+    if top is None:
+        return None
+    length, fold = top
+    if length == 0:
+        return Proof(()) if fold == 0 else None
+    if length > _MAX_DECODED_STEPS:
+        return None
+    codes = []
+    cur = fold
+    for _ in range(length - 1):
+        parts = unpair(cur)
+        if parts is None:
+            return None
+        cur, last = parts
+        codes.append(last)
+    codes.append(cur)
+    codes.reverse()
+
+    steps: list[ProofStep] = []
+    for c in codes:
+        parts = unpair(c)
+        if parts is None:
+            return None
+        tag, payload = parts
+        if tag == _TAG_LOGICAL:
+            inner = unpair(payload)
+            if inner is None:
+                return None
+            sid, fcode = inner
+            if sid >= len(_SCHEMAS):
+                return None
+            formula = _parse_coded_formula(fcode)
+            if formula is None:
+                return None
+            steps.append(ProofStep(formula, LogicalAxiom(SCHEMA_NAMES[sid])))
+        elif tag == _TAG_THEORY:
+            steps.append(ProofStep(None, TheoryAxiom(payload)))
+        elif tag == _TAG_MP:
+            inner = unpair(payload)
+            if inner is None:
+                return None
+            steps.append(ProofStep(None, ModusPonens(*inner)))
+        elif tag == _TAG_GEN:
+            inner = unpair(payload)
+            if inner is None:
+                return None
+            steps.append(ProofStep(None, Gen(inner[0], identifier_from_rank(inner[1]))))
+        else:
+            return None
+
+    for k, step in enumerate(steps):
+        just = step.justification
+        if step.formula is not None:
+            continue
+        if isinstance(just, ModusPonens):
+            i, j = just.antecedent, just.implication
+            if i < k and j < k:
+                fi, fj = steps[i].formula, steps[j].formula
+                if fi is not None and isinstance(fj, Imp) and fj.left == fi:
+                    steps[k] = ProofStep(fj.right, just)
+        elif isinstance(just, Gen):
+            if just.premise < k and steps[just.premise].formula is not None:
+                steps[k] = ProofStep(Forall(just.var, steps[just.premise].formula), just)
+    return Proof(tuple(steps))
+
+
+
+def _random_built_code(rng: random.Random) -> int:
+    """A code declaring 1-40 steps, pair-built from at most 8 step codes
+    (each pair squares the fold), some of them 0 and some not step codes;
+    with fewer codes than steps the decoder peels into the first one."""
+    texts = ["0 = 0", "0 = 0 -> (0 < #1 -> 0 = 0)", "x = y -> y = x", "", "0 =", "A x. x < s(x)"]
+    length = rng.randint(1, 40)
+    codes = []
+    for _ in range(min(length, rng.randint(1, 8))):
+        roll = rng.random()
+        if roll < 0.08:
+            codes.append(0)
+        elif roll < 0.3:
+            sid = rng.choice((0, 1, 12, rng.randrange(len(SCHEMA_NAMES) + 2)))
+            codes.append(pair(0, pair(sid, program_code(rng.choice(texts)))))
+        elif roll < 0.55:
+            codes.append(pair(1, rng.randrange(50)))
+        elif roll < 0.75:
+            codes.append(pair(2, pair(rng.randrange(len(codes) + 2), rng.randrange(len(codes) + 2))))
+        elif roll < 0.9:
+            codes.append(pair(3, pair(rng.randrange(len(codes) + 1), rng.randrange(40))))
+        else:
+            codes.append(rng.randrange(1, 10 ** rng.randint(1, 12)))
+    fold = codes[0]
+    for c in codes[1:]:
+        fold = pair(fold, c)
+    return pair(length, fold)
+
+
+def test_code_to_proof_agrees_with_the_reference_on_small_codes():
+    for c in range(10 ** 5):
+        assert code_to_proof(c) == _parent_code_to_proof(c), c
+
+
+def test_code_to_proof_agrees_with_the_reference_on_built_codes():
+    rng = random.Random(7)
+    decoded = 0
+    for _ in range(2000):
+        c = _random_built_code(rng)
+        got = code_to_proof(c)
+        assert got == _parent_code_to_proof(c), c
+        decoded += got is not None
+    big = [rng.getrandbits(rng.randint(1, 4096)) for _ in range(300)]
+    for c in big:
+        assert code_to_proof(c) == _parent_code_to_proof(c), c
+    assert decoded >= 20  # the built codes reach the whole decoder
 
 
 def test_skeleton_roundtrip_without_formulas():

@@ -5,6 +5,7 @@ statement, headers cost one per evaluation, simulation builtins add their
 inner consumption) and frozen here as literals.
 """
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -14,9 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulab.codec import pair, program_code
+import taulab
+from taulab.constructions import rosser_pair
 from taulab.tpl import (
     _BUILTINS,
-    Machine, TemplateError, TplSyntaxError, instantiate_template, output_code,
+    DigitLoop, If, Machine, TemplateError, TplProgram, TplSyntaxError, While,
+    instantiate_template, output_code,
     parse_program, program_from_code, run_code, tau, template_source,
 )
 
@@ -501,3 +505,248 @@ def test_template_source_is_ascii_and_parses():
     for name in ("searcher", "kleene_searcher", "enum_t", "enum_s"):
         text = template_source(name)
         assert text.isascii()
+
+
+# --------------------------------------------------------------------------
+# golden template runs: (halted, fault, steps, env digest) frozen from the
+# statement-by-statement interpreter, at budgets that stop inside and
+# around the templates' decimal-digit loops
+
+def _env_digest(env) -> str:
+    h = hashlib.sha256()
+    for key in sorted(env):
+        value = env[key]
+        data = value.encode("latin-1") if type(value) is str else format(value, "x").encode()
+        h.update(f"{key}:{type(value).__name__}:{len(data)}:".encode())
+        h.update(data)
+    return h.hexdigest()[:16]
+
+
+def _golden(m: Machine):
+    return (m.halted, m.fault, m.steps, _env_digest(m.env))
+
+
+@pytest.fixture(scope="module")
+def race_probe():
+    """Both searchers of rosser_pair(enum_s) and the probe pair(negative,
+    positive); each first writes both ~55k-bit codes in decimal."""
+    art = rosser_pair(program_code(template_source("enum_s")))
+    programs = {"pos": program_from_code(art.positive), "neg": program_from_code(art.negative)}
+    return programs, pair(art.negative, art.positive)
+
+
+_RACE_GOLDEN = {
+    ('pos', 0): (False, None, 0, '15fc97e8d376e78d'),
+    ('pos', 5): (False, None, 5, '404bfaa8b8a55808'),
+    ('pos', 6): (False, None, 6, '1583fcc857c07657'),
+    ('pos', 7): (False, None, 7, '1583fcc857c07657'),
+    ('pos', 8): (False, None, 8, '7ca7aa3e4a220d1d'),
+    ('pos', 9): (False, None, 9, '0288ffb6783c487e'),
+    ('pos', 10): (False, None, 10, '0288ffb6783c487e'),
+    ('pos', 11): (False, None, 11, 'e3d6a0cf9277f3fb'),
+    ('pos', 12): (False, None, 12, '8cfc9c617f00616b'),
+    ('pos', 50000): (False, None, 50000, 'e5e22c17901223f0'),
+    ('pos', 50001): (False, None, 50001, 'ed63ee8270e0f985'),
+    ('pos', 50002): (False, None, 50002, 'ed63ee8270e0f985'),
+    ('pos', 100299): (False, None, 100299, 'db2371ebd716ab1d'),
+    ('pos', 100300): (False, None, 100300, 'db2371ebd716ab1d'),
+    ('pos', 100301): (False, None, 100301, '191d66538bd7a045'),
+    ('pos', 150000): (False, None, 150000, 'abc284106f228d99'),
+    ('neg', 0): (False, None, 0, '15fc97e8d376e78d'),
+    ('neg', 5): (False, None, 5, '404bfaa8b8a55808'),
+    ('neg', 6): (False, None, 6, '1583fcc857c07657'),
+    ('neg', 7): (False, None, 7, '1583fcc857c07657'),
+    ('neg', 8): (False, None, 8, '7ca7aa3e4a220d1d'),
+    ('neg', 9): (False, None, 9, '0288ffb6783c487e'),
+    ('neg', 10): (False, None, 10, '0288ffb6783c487e'),
+    ('neg', 11): (False, None, 11, 'e3d6a0cf9277f3fb'),
+    ('neg', 12): (False, None, 12, '8cfc9c617f00616b'),
+    ('neg', 50000): (False, None, 50000, 'e5e22c17901223f0'),
+    ('neg', 50001): (False, None, 50001, 'ed63ee8270e0f985'),
+    ('neg', 50002): (False, None, 50002, 'ed63ee8270e0f985'),
+    ('neg', 100299): (False, None, 100299, 'e7e20e0ce422a241'),
+    ('neg', 100300): (False, None, 100300, 'e7e20e0ce422a241'),
+    ('neg', 100301): (False, None, 100301, 'e7e20e0ce422a241'),
+    ('neg', 150000): (False, None, 150000, 'fc2f2a58a755e28a'),
+}
+
+
+@pytest.mark.parametrize("polarity, budget", sorted(_RACE_GOLDEN))
+def test_race_searchers_match_their_golden_runs(race_probe, polarity, budget):
+    programs, probe_input = race_probe
+    m = Machine(programs[polarity], probe_input, budget).run()
+    assert _golden(m) == _RACE_GOLDEN[polarity, budget]
+    if budget == 150_000:
+        # past the preamble, c counts the proof codes already rejected
+        assert m.env["c"] == {"pos": 16493, "neg": 16492}[polarity]
+
+
+# (slot, budget): budget None runs to halt; 16337..16339 stop slot 4001 in
+# the digit loop of w = 1091 before its second header, inside the body
+# after one assignment, and after the body (the header not yet charged)
+_ENUM_S_GOLDEN = {
+    (0, None): (True, None, 4, '700acd90509896b1'),
+    (1, None): (True, None, 5, 'e6438a6e7fb12608'),
+    (2, None): (True, None, 6, '30449eee8ce7bcfc'),
+    (3, None): (True, None, 7, '2db98a35e397a755'),
+    (4, None): (True, None, 8, 'e844b5d6580f9f55'),
+    (5, None): (True, None, 9, 'f129b86401a52fea'),
+    (6, None): (True, None, 33, 'de3c88435d0986ba'),
+    (7, None): (True, None, 22, 'a5a6d54abdeb9b30'),
+    (8, None): (True, None, 39, '70fabf1036284659'),
+    (9, None): (True, None, 30, '8e935bce09e3e26b'),
+    (10, None): (True, None, 39, '67d20ca00f03587a'),
+    (11, None): (True, None, 39, '79c774561da17934'),
+    (12, None): (True, None, 14, '3992aaebd91cc7e1'),
+    (13, None): (True, None, 48, '4b941985b6d5a66e'),
+    (14, None): (True, None, 39, '355e45867579950e'),
+    (15, None): (True, None, 57, 'fdfe09ff3d3512c3'),
+    (16, None): (True, None, 45, '0461a50be3d6e394'),
+    (17, None): (True, None, 66, '18a9a324f907e645'),
+    (18, None): (True, None, 40, 'adc9e0e28af9fe57'),
+    (19, None): (True, None, 75, '136b308ca55c65c7'),
+    (20, None): (True, None, 14, 'c0242837d236599c'),
+    (21, None): (True, None, 84, 'a5067f2cad7b017c'),
+    (22, None): (True, None, 14, 'faf1d697ba626746'),
+    (23, None): (True, None, 93, '567037c02ab9f531'),
+    (24, None): (True, None, 39, '0f8350b60f60d0ac'),
+    (25, None): (True, None, 102, '243ac23d29769162'),
+    (26, None): (True, None, 45, '693ad8ee66fc5f76'),
+    (27, None): (True, None, 114, '5cb1991038d6dab0'),
+    (28, None): (True, None, 46, 'cbb126ea347af2d9'),
+    (29, None): (True, None, 126, 'd0ee113daf9d27b7'),
+    (30, None): (True, None, 17, '4795c76d39f20063'),
+    (31, None): (True, None, 138, 'ada97f7b40b06e0d'),
+    (32, None): (True, None, 14, '99dbef3d42fb36ef'),
+    (33, None): (True, None, 150, '48722196678b220a'),
+    (34, None): (True, None, 14, 'fd55cf6d55084699'),
+    (35, None): (True, None, 162, 'b55892e8ce0641ae'),
+    (36, None): (True, None, 14, '5725eb5a6aee6bac'),
+    (37, None): (True, None, 174, 'ce24fca1a65e8096'),
+    (38, None): (True, None, 39, '3df43a5c88b55add'),
+    (39, None): (True, None, 186, '44c97875a6b8cd7f'),
+    (40, None): (True, None, 45, 'f52142da7b2888bb'),
+    (4001, None): (True, None, 32646, '4e49fb65b2b6853d'),
+    (4001, 16337): (False, None, 16337, '5f38ea7ee348dc4e'),
+    (4001, 16338): (False, None, 16338, '1f910e3d79f8d51d'),
+    (4001, 16339): (False, None, 16339, 'b00d1923eb70a5df'),
+}
+
+
+@pytest.mark.parametrize("slot, budget", list(_ENUM_S_GOLDEN))
+def test_enum_s_matches_its_golden_runs(slot, budget):
+    program = instantiate_template("enum_s", {})
+    m = Machine(program, slot, 10 ** 6 if budget is None else budget).run()
+    assert _golden(m) == _ENUM_S_GOLDEN[slot, budget]
+
+
+# --------------------------------------------------------------------------
+# the decimal-digit loop superinstruction
+
+_DIGIT_LOOP = ('while (0 < v) {{ d = concat(charat("0123456789", v % {ten}), d); '
+               'v = v / {ten}; }}')
+
+
+def _loop_and_twin(prefix: str):
+    """``prefix``, the digit loop and ``halt;``, once as written and once as
+    its twin, which divides by ``(10 + 0)``: the same loop, step for step,
+    that the recogniser must not match."""
+    loop, twin = (parse_program(f"{prefix} {_DIGIT_LOOP.format(ten=ten)} halt;")
+                  for ten in ("10", "(10 + 0)"))
+    assert type(loop.body[-2]) is DigitLoop and type(twin.body[-2]) is While
+    return loop, twin
+
+
+def _state(m: Machine):
+    return (m.halted, m.fault, m.steps, dict(m.env), [i for _, i in m._frames])
+
+
+def _stepped_states(program: TplProgram, input_value: int, last: int) -> list:
+    """The states of ``program`` at budgets 0..last, from one run whose
+    budget is raised a step at a time: a plain statement runs out before it
+    has any effect, so running on continues the same run."""
+    m = Machine(program, input_value, 0)
+    states = []
+    for budget in range(last + 1):
+        m.budget = budget
+        states.append(_state(m.run()))
+    return states
+
+
+_DIGIT_VALUES = [0, 1, 9, 10, *(10 ** k + s for k in (2, 5, 19) for s in (-1, 0, 1)),
+                 (1 << 4000) - 12345]
+
+
+@pytest.mark.parametrize("d", ["", "ab"])
+@pytest.mark.parametrize("v", _DIGIT_VALUES, ids=lambda v: f"{v.bit_length()}bits{v % 1000}")
+def test_digit_loop_agrees_with_its_twin_at_every_budget(v, d):
+    loop, twin = _loop_and_twin(f'v = in; d = "{d}";')
+    n = len(str(v)) if v else 0
+    last = 2 + 1 + 3 * n + 1  # prefix, final header, halt
+    expected = _stepped_states(twin, v, last + 1)
+    assert expected[-1][0] and expected[-1][2] == last
+    assert Machine(twin, v, last // 2).run().env == expected[last // 2][3]
+    for budget in range(last + 2):
+        assert _state(Machine(loop, v, budget).run()) == expected[budget], budget
+
+
+def test_digit_loop_past_the_str_digit_limit():
+    v = 7 ** 6000  # 5 071 digits; str() refuses past 4 300
+    loop, twin = _loop_and_twin('v = in; d = "ab";')
+    expected = _stepped_states(twin, v, 3 * 5071 + 5)
+    for budget in (0, 3, 4, 5, 6, 7, 8, 9000, 9001, 9002, 3 * 5071 + 3, 3 * 5071 + 4):
+        assert _state(Machine(loop, v, budget).run()) == expected[budget], budget
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1 << 12000), st.integers(0, 3 * 3620), st.sampled_from(["", "xy"]))
+def test_digit_loop_agrees_with_its_twin_at_random(v, budget, d):
+    loop, twin = _loop_and_twin(f'v = in; d = "{d}";')
+    assert _state(Machine(loop, v, budget).run()) == _state(Machine(twin, v, budget).run())
+
+
+@pytest.mark.parametrize("prefix, fault", [
+    ('v = 25; d = 5;', "concat needs a string, got a natural"),
+    ('v = "25"; d = "";', "< needs a natural, got a string"),
+    ('v = 25;', "undefined variable 'd'"),
+    ('v = 0;', None),  # the loop never runs, so d is never read
+])
+def test_digit_loop_faults_and_exits_as_its_twin(prefix, fault):
+    loop, twin = _loop_and_twin(prefix)
+    for budget in range(12):
+        got, want = Machine(loop, 0, budget).run(), Machine(twin, 0, budget).run()
+        assert _state(got) == _state(want), budget
+    assert got.fault == fault and got.halted == (fault is None)
+
+
+def _digit_loop_count(stmts) -> int:
+    count = 0
+    for s in stmts:
+        if type(s) is DigitLoop:
+            count += 1
+        elif type(s) is If:
+            count += _digit_loop_count(s.then) + _digit_loop_count(s.other)
+        elif type(s) is While:
+            count += _digit_loop_count(s.body)
+    return count
+
+
+def test_every_template_digit_loop_is_recognised():
+    want = {"searcher": 2, "enum_s": 5, "enum_t": 3, "diagonal": 1, "kleene_searcher": 1}
+    names = sorted(p.stem for p in Path(taulab.__file__).parent.joinpath("templates").glob("*.tpl"))
+    assert len(names) == 9
+    for name in names:
+        text = re.sub(r"\{\{[A-Z0-9_]+\}\}", "0", template_source(name))
+        assert _digit_loop_count(parse_program(text).body) == want.get(name, 0), name
+
+
+@pytest.mark.parametrize("text", [
+    'while (0 < v) { v = v / 10; d = concat(charat("0123456789", v % 10), d); }',
+    'while (0 < v) { d = concat(charat("0123456789", v % 10), d); v = v / 100; }',
+    'while (0 < v) { d = concat(charat("0123456789x", v % 10), d); v = v / 10; }',
+    'while (0 < v) { d = concat(d, charat("0123456789", v % 10)); v = v / 10; }',
+    'while (0 < v) { v = concat(charat("0123456789", v % 10), v); v = v / 10; }',
+    'while (1 < v) { d = concat(charat("0123456789", v % 10), d); v = v / 10; }',
+])
+def test_digit_loop_near_misses_stay_plain_loops(text):
+    assert type(parse_program(text).body[0]) is While
