@@ -24,7 +24,10 @@ class CodecError(ValueError):
 
 def _check_nat(n: int, what: str = "value") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise CodecError(f"{what} must be a natural number, got {n!r}")
+        # repr() of an int past the interpreter's digit cap would raise
+        shown = (f"a negative {n.bit_length()}-bit integer"
+                 if isinstance(n, int) and n.bit_length() > _SMALL_BITS else repr(n))
+        raise CodecError(f"{what} must be a natural number, got {shown}")
 
 
 def bits_to_nat(bits: str) -> int:
@@ -126,17 +129,34 @@ def in_pair_range(p: int) -> bool:
 # - text -> natural splits the digits in half and recombines them as
 #   (high * 5**k << k) + low (that is, high * 10**k + low), with 5**k
 #   memoised per call; pieces of at most _SAFE_DIGITS digits go to int().
+#
+# A construction prints a code into a template and lexes the same numeral
+# straight back, often twice, so the last conversion past either threshold,
+# in either direction, is remembered as one (natural, text) entry.  A hit is
+# a plain == compare (tens of microseconds for a 269k-digit text, against a
+# conversion of over 100 ms).  Only canonical texts are stored: one with a
+# leading zero denotes the same natural but is not what nat_to_decimal
+# prints.  Both values are immutable, so sharing them with every caller
+# changes no result.
 
 _SMALL_BITS = 8192
 _SAFE_DIGITS = 2048
 
+_last: tuple[int, str] = (-1, "")
+
 
 def nat_to_decimal(n: int) -> str:
     """Decimal text of a natural, regardless of how many digits it takes."""
+    global _last
     _check_nat(n)
     if n.bit_length() <= _SMALL_BITS:
         return str(n)
-    return _big_nat_to_decimal(n)
+    last_n, last_text = _last
+    if n == last_n:
+        return last_text
+    text = _big_nat_to_decimal(n)
+    _last = (int(n), text)
+    return text
 
 
 def _big_nat_to_decimal(n: int) -> str:
@@ -172,10 +192,21 @@ def _big_nat_to_decimal(n: int) -> str:
 
 def decimal_to_nat(text: str) -> int:
     """Natural denoted by a string of ASCII digits (any length)."""
+    global _last
     if not text or not text.isascii() or not text.isdigit():
         raise CodecError(f"not a decimal numeral: {text!r}")
     if len(text) <= _SAFE_DIGITS:
         return int(text)
+    last_n, last_text = _last
+    if text == last_text:
+        return last_n
+    n = _big_decimal_to_nat(text)
+    if text[0] != "0":
+        _last = (n, text)
+    return n
+
+
+def _big_decimal_to_nat(text: str) -> int:
     powers: dict[int, int] = {}
 
     def convert(lo: int, hi: int) -> int:

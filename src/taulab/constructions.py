@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .codec import nat_to_decimal, program_code
+from .codec import program_code
 from .fol import (
     And,
     Eq,
@@ -465,9 +465,10 @@ def rosser_pair(enumerator_code: int) -> RosserArtifact:
     the positive one"; with a consistent stream neither searcher ever
     finds its proof, so neither program halts on pair(negative, positive).
     """
-    digits = nat_to_decimal(enumerator_code)  # both searchers splice the same numeral
-    positive = instantiate_template("searcher", {"ENUM_CODE": digits, "POLARITY": "pos"})
-    negative = instantiate_template("searcher", {"ENUM_CODE": digits, "POLARITY": "neg"})
+    positive = instantiate_template(
+        "searcher", {"ENUM_CODE": enumerator_code, "POLARITY": "pos"})
+    negative = instantiate_template(
+        "searcher", {"ENUM_CODE": enumerator_code, "POLARITY": "neg"})
     n = program_code(negative.source)
     m = program_code(positive.source)
     return RosserArtifact(n, m, rosser_sentence(n, m), enumerator_code)

@@ -164,6 +164,9 @@ class _Tok:
 # Numerals are ASCII digits only; other characters that str.isdigit accepts
 # (such as the latin-1 superscripts) are not numerals and fail to lex.
 _DIGITS = re.compile(r"[0-9]+")
+# The characters of a string literal that stand for themselves; a spliced
+# axiom text runs to ~100 KB of them.
+_STRING_RUN = re.compile(r'[^"\\\n]*')
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -209,21 +212,19 @@ def _lex(text: str) -> list[_Tok]:
             j = i + 1
             chars: list[str] = []
             while True:
+                k = _STRING_RUN.match(text, j).end()
+                chars.append(text[j:k])
+                j = k
                 if j >= n or text[j] == "\n":
                     raise TplSyntaxError("unterminated string literal", line, col)
-                c = text[j]
-                if c == '"':
+                if text[j] == '"':
                     j += 1
                     break
-                if c == "\\":
-                    esc = text[j + 1] if j + 1 < n else ""
-                    if esc not in _ESCAPES:
-                        raise TplSyntaxError(f"bad escape \\{esc}", line, col)
-                    chars.append(_ESCAPES[esc])
-                    j += 2
-                    continue
-                chars.append(c)
-                j += 1
+                esc = text[j + 1] if j + 1 < n else ""  # text[j] is a backslash
+                if esc not in _ESCAPES:
+                    raise TplSyntaxError(f"bad escape \\{esc}", line, col)
+                chars.append(_ESCAPES[esc])
+                j += 2
             tokens.append(_Tok("STRING", "".join(chars), line, col))
             i = j
             continue

@@ -245,3 +245,79 @@ def test_small_numerals_do_not_load_decimal():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
+
+
+# --------------------------------------------------------------------------
+# the one-entry (natural, text) memo of the last conversion past the
+# thresholds: hits return the same values a fresh conversion would
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(codec, "_last", (-1, ""))
+
+
+def test_leading_zero_texts_do_not_poison_the_memo(empty_memo):
+    rng = random.Random(4096)
+    size = 2 * codec._SAFE_DIGITS
+    body = "".join(rng.choice("0123456789") for _ in range(size - 1))
+    for text in ("0" + body, "00" + body[1:], "0" * (size - 1) + "7"):
+        n = decimal_to_nat(text)
+        assert n == _reference_nat(text)
+        assert nat_to_decimal(n) == _reference_decimal(n) == text.lstrip("0")
+        assert decimal_to_nat(text) == n
+    n = _reference_nat("9" + body)
+    assert nat_to_decimal(n) == "9" + body
+    assert decimal_to_nat("0" + "9" + body) == n
+    assert nat_to_decimal(n) == "9" + body
+
+
+def test_interleaved_conversions_match_the_reference(empty_memo):
+    rng = random.Random(3 * codec._SMALL_BITS)
+    a = rng.getrandbits(3 * codec._SMALL_BITS) | 1 << (3 * codec._SMALL_BITS - 1)
+    b = a + 1
+    text = {a: _reference_decimal(a), b: _reference_decimal(b)}
+    for n in (a, b, a, a, b, b, a):
+        assert nat_to_decimal(n) == text[n]
+    for n in (a, b, a, a, b, b, a):
+        assert decimal_to_nat(text[n]) == n
+    for n in (a, a, b, a, b):
+        assert nat_to_decimal(n) == text[n]
+        assert decimal_to_nat(text[n]) == n
+        assert decimal_to_nat(text[a if n == b else b]) == (a if n == b else b)
+
+
+def test_memo_keeps_the_input_checks(empty_memo):
+    n = 7 ** 40000
+    text = nat_to_decimal(n)
+    for bad in (True, False, -1, -n, float(10**300)):
+        with pytest.raises(CodecError):
+            nat_to_decimal(bad)
+    for bad in (text + "a", "-" + text, text[:-1] + "\xb2"):
+        with pytest.raises(CodecError):
+            decimal_to_nat(bad)
+    assert decimal_to_nat(text) == n
+    assert type(decimal_to_nat(nat_to_decimal(type("Nat", (int,), {})(n + 1)))) is int
+
+
+def test_rosser_pair_prints_the_stream_once_and_never_parses_it(empty_memo, monkeypatch):
+    from taulab.constructions import rosser_pair
+    from taulab.tpl import template_source
+
+    calls = {"to_text": 0, "to_nat": 0}
+    to_text, to_nat = codec._big_nat_to_decimal, codec._big_decimal_to_nat
+
+    def counted_to_text(n):
+        calls["to_text"] += 1
+        return to_text(n)
+
+    def counted_to_nat(text):
+        calls["to_nat"] += 1
+        return to_nat(text)
+
+    monkeypatch.setattr(codec, "_big_nat_to_decimal", counted_to_text)
+    monkeypatch.setattr(codec, "_big_decimal_to_nat", counted_to_nat)
+    rosser_pair(program_code(template_source("enum_s")))
+    # one print of the stream code; both searcher lexes (and the artifact's
+    # own decode of both searchers) find it in the memo
+    assert calls == {"to_text": 1, "to_nat": 0}

@@ -9,6 +9,8 @@ shadowed stream as that same code.  Halting claims are pinned as behavior
 counts.
 """
 
+import hashlib
+
 import pytest
 
 from taulab.codec import nat_to_decimal, pair, program_code
@@ -339,6 +341,23 @@ def test_racing_pair_validation():
     with pytest.raises(ValueError, match="decode"):
         RosserArtifact(1, good.positive,
                        rosser_sentence(1, good.positive), S_CODE)
+
+
+def _code_digest(code: int) -> str:
+    return hashlib.sha256(format(code, "x").encode()).hexdigest()[:16]
+
+
+def test_racing_pair_codes_are_pinned(racing):
+    # sha256 of the hex codes, frozen from the build that printed the
+    # stream's numeral once for both searchers
+    assert (_code_digest(racing.negative), _code_digest(racing.positive)) == (
+        "693dd591e8652d2a", "2498e7a2de83cf9b")
+    stream = plant_axiom(racing.sentence, S_CODE)
+    planted = rosser_pair(stream)
+    assert (stream.bit_length(), planted.negative.bit_length()) == (893_745, 2_163_529)
+    assert (_code_digest(stream), _code_digest(planted.negative),
+            _code_digest(planted.positive)) == (
+        "a42feabc4c384693", "e4958c5020b2902b", "5b24e2a089c674b8")
 
 
 def test_positive_searcher_halts_when_the_sentence_is_planted(racing):

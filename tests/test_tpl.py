@@ -18,7 +18,7 @@ from taulab.codec import pair, program_code
 import taulab
 from taulab.constructions import rosser_pair
 from taulab.tpl import (
-    _BUILTINS,
+    _BUILTINS, _lex,
     DigitLoop, If, Machine, TemplateError, TplProgram, TplSyntaxError, While,
     instantiate_template, output_code,
     parse_program, program_from_code, run_code, tau, template_source,
@@ -60,6 +60,70 @@ def test_parse_errors():
     # a call-looking use of a non-builtin is not an expression form
     with pytest.raises(TplSyntaxError):
         parse_program("x = foo(1);")
+
+
+@pytest.mark.parametrize("literal, value", [
+    ('""', ""),
+    ('"plain text, {{X}} # not a comment"', "plain text, {{X}} # not a comment"),
+    (r'"\\"', "\\"),
+    (r'"\""', '"'),
+    (r'"\n"', "\n"),
+    (r'"\t"', "\t"),
+    (r'"a\\b\"c\nd\te"', 'a\\b"c\nd\te'),
+    (r'"\\\\\"\"\n\n\t\t"', '\\\\""\n\n\t\t'),
+    ('"tab\there, cr\rthere"', "tab\there, cr\rthere"),
+    ('"' + "x" * 5000 + r'\n' + "y" * 5000 + '"', "x" * 5000 + "\n" + "y" * 5000),
+])
+def test_string_literal_escapes(literal, value):
+    m = run(f"s = {literal}; halt;")
+    assert m.halted and m.env["s"] == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ('x = "abc', "unterminated string literal (line 1, column 5)"),
+    ('\n  x = ""; y = "ab\ny";', "unterminated string literal (line 2, column 15)"),
+    ('x = "ok";\ny = "a\\"', "unterminated string literal (line 2, column 5)"),
+    ('x = "a\\q";', "bad escape \\q (line 1, column 5)"),
+    ('x = 1;\n\n y = "abc\\', "bad escape \\ (line 3, column 6)"),
+    ('x = "a\\\nb";', "bad escape \\\n (line 1, column 5)"),
+])
+def test_string_literal_error_texts(text, message):
+    with pytest.raises(TplSyntaxError) as info:
+        parse_program(text)
+    assert str(info.value) == message
+
+
+def _token_digest(text: str) -> str:
+    h = hashlib.sha256()
+    for tok in _lex(text):
+        v = tok.value
+        data = (v.encode("latin-1") if type(v) is str
+                else b"" if v is None else format(v, "x").encode())
+        h.update(f"{tok.kind}:{type(v).__name__}:{tok.line}:{tok.column}:{len(data)}:".encode())
+        h.update(data)
+    return h.hexdigest()[:16]
+
+
+# token streams (kind, value, line, column) of the raw templates, frozen
+# from the character-at-a-time string-literal lexer
+_TEMPLATE_TOKENS = {
+    "craig_decider": "7147a6a92439e97d",
+    "craig_enum": "0e065b6e2436aa9d",
+    "diagonal": "4cc9cd59f0858f62",
+    "enum_s": "7686e2c51e71180b",
+    "enum_t": "37a73b97d2509382",
+    "kleene_searcher": "b4a33598427050c5",
+    "planted_enum": "768ff21efe136f43",
+    "rice_enum": "9423356c04112348",
+    "searcher": "c35d52eaf84442af",
+}
+
+
+def test_template_token_streams_are_unchanged():
+    names = sorted(p.stem for p in Path(taulab.__file__).parent.joinpath("templates").glob("*.tpl"))
+    assert names == sorted(_TEMPLATE_TOKENS)
+    for name in names:
+        assert _token_digest(template_source(name)) == _TEMPLATE_TOKENS[name], name
 
 
 @pytest.mark.parametrize("text", ["x = \xb2;", "x = 1\xb2;", "x = \xb9\xb3;"])
