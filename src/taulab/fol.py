@@ -93,9 +93,6 @@ class Node:
                     return False
         return True
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         memo: dict[int, int] = {}
         stack: list[tuple[Node, bool]] = [(self, False)]
@@ -230,7 +227,26 @@ class Exists(Formula):
     body: Formula
 
 
-_BINARY = (And, Or, Imp, Iff)
+# The syntax tables, read by the parser and the printer.  A symbol token's
+# kind is its text, so the symbols here are the token kinds the parser
+# looks for.
+
+# binary connectives, loosest first; every one is right associative
+_CONNECTIVES = (("<->", Iff), ("->", Imp), ("|", Or), ("&", And))
+
+# relation symbol -> atom built from the two sides; "<=" and ">" are sugar
+# that the printer never reintroduces
+_RELATIONS = {
+    "<": Less,
+    "=": Eq,
+    "<=": lambda t, u: Or(Less(t, u), Eq(t, u)),
+    ">": lambda t, u: Less(u, t),
+}
+
+# reserved name -> (constructor, arity) of an application "name(a, ...)"
+_APPLIED = {"s": (succ, 1), "pi": (Pi, 2), "tau": (Tau, 3)}
+
+_BINARY = tuple(cls for _, cls in _CONNECTIVES)
 _QUANT = (Forall, Exists)
 
 
@@ -342,8 +358,11 @@ def substitute(f: Formula, var: str, replacement: Term) -> Formula:
 # --------------------------------------------------------------------------
 # printing
 
-_PREC = {Iff: 1, Imp: 2, Or: 3, And: 4}
-_OPSYM = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
+# binding strength; atoms (absent here) bind tightest
+_PREC = {Forall: 0, Exists: 0, Not: 5}
+_PREC.update((cls, level) for level, (_, cls) in enumerate(_CONNECTIVES, 1))
+_OPSYM = {cls: sym for sym, cls in _CONNECTIVES}
+_RELSYM = {cls: sym for sym, cls in _RELATIONS.items() if isinstance(cls, type)}  # no sugar
 
 
 def format_term(t: Term) -> str:
@@ -358,32 +377,21 @@ def format_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _prec_of(f: Formula) -> int:
-    cls = type(f)
-    if cls in _PREC:
-        return _PREC[cls]
-    if cls is Not:
-        return 5
-    if cls in (Forall, Exists):
-        return 0
-    return 9
-
-
 def _fmt(f: Formula) -> tuple[str, bool]:
     """Render ``f``; the flag says the text ends in an open quantifier body
     (which would swallow anything printed after it in the same group)."""
     if isinstance(f, (Less, Eq)):
-        sym = "<" if isinstance(f, Less) else "="
-        return f"{format_term(f.left)} {sym} {format_term(f.right)}", False
+        return f"{format_term(f.left)} {_RELSYM[type(f)]} {format_term(f.right)}", False
     if isinstance(f, Tau):
         return (f"tau({format_term(f.prog)}, {format_term(f.arg)}, "
                 f"{format_term(f.steps)})"), False
     if isinstance(f, Not):
-        if isinstance(f.inner, (Tau, Not)):
-            text, open_tail = _fmt(f.inner)
-            return "~" + text, open_tail
-        text, _ = _fmt(f.inner)
-        return "~(" + text + ")", False
+        run = 0
+        while isinstance(f, Not):
+            run += 1
+            f = f.inner
+        text, _ = _fmt(f)
+        return "~" * run + (text if isinstance(f, Tau) else "(" + text + ")"), False
     if isinstance(f, _QUANT):
         prefix: list[str] = []
         cur: Formula = f
@@ -409,10 +417,11 @@ def _fmt(f: Formula) -> tuple[str, bool]:
         last = len(parts) - 1
         for i, part in enumerate(parts):
             text, part_open = _fmt(part)
+            part_prec = _PREC.get(type(part), 9)
             if i < last:
-                wrap = part_open or _prec_of(part) <= prec
+                wrap = part_open or part_prec <= prec
             else:
-                wrap = _prec_of(part) < prec and not isinstance(part, _QUANT)
+                wrap = part_prec < prec and not isinstance(part, _QUANT)
             if wrap:
                 text = "(" + text + ")"
                 part_open = False
@@ -431,14 +440,6 @@ def format_formula(f: Formula) -> str:
 # --------------------------------------------------------------------------
 # parsing
 
-_RESERVED_TERM_IDENTS = {"s", "pi", "tau"}
-
-_SIMPLE_TOKENS = {
-    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",
-    "~": "TILDE", "&": "AMP", "|": "BAR", "=": "EQ", ">": "GT",
-}
-
-
 class _Token:
     __slots__ = ("kind", "value", "line", "column")
 
@@ -454,6 +455,10 @@ class _Token:
 # A bare digit run is still scanned with str.isdigit, so that its error
 # message names the whole run.
 _DIGITS = re.compile(r"[0-9]*")
+
+# the symbols that start with '<' or '-'; every other symbol is one
+# character, and a symbol token's kind is its text
+_ANGLED = re.compile(r"<->|<=|<|->")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -473,27 +478,17 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         col = i - line_start + 1
-        if ch in _SIMPLE_TOKENS:
-            tokens.append(_Token(_SIMPLE_TOKENS[ch], ch, line, col))
+        if ch in "(),.~&|=>":
+            tokens.append(_Token(ch, ch, line, col))
             i += 1
             continue
-        if ch == "<":
-            if text.startswith("<->", i):
-                tokens.append(_Token("IFF", "<->", line, col))
-                i += 3
-            elif text.startswith("<=", i):
-                tokens.append(_Token("LE", "<=", line, col))
-                i += 2
-            else:
-                tokens.append(_Token("LT", "<", line, col))
-                i += 1
+        if ch in "<-":
+            m = _ANGLED.match(text, i)
+            if m is None:
+                raise FolSyntaxError("stray '-' (did you mean '->')", line, col)
+            tokens.append(_Token(m[0], m[0], line, col))
+            i = m.end()
             continue
-        if ch == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("IMP", "->", line, col))
-                i += 2
-                continue
-            raise FolSyntaxError("stray '-' (did you mean '->')", line, col)
         if ch == "#":
             j = _DIGITS.match(text, i + 1).end()
             if j == i + 1:
@@ -544,27 +539,25 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise FolSyntaxError(f"expected {what}, found {tok.value!r}", tok.line, tok.column)
+            self.fail(f"expected {what or repr(kind)}, found {tok.value!r}")
         return self.next()
 
-    def fail(self, message: str):
-        tok = self.peek()
+    def fail(self, message: str, tok: _Token | None = None):
+        tok = tok or self.peek()
         raise FolSyntaxError(message, tok.line, tok.column)
 
-    # formulas, lowest precedence first; chains are collected iteratively
+    # formulas, loosest connective first; chains are collected iteratively
     # and folded to the right, so "a | b | c" is Or(a, Or(b, c)).
 
-    _LEVELS = (("IFF", Iff), ("IMP", Imp), ("BAR", Or), ("AMP", And))
-
     def formula(self, depth: int = 0) -> Formula:
-        if depth == len(self._LEVELS):
+        if depth == len(_CONNECTIVES):
             return self.negation()
-        kind, cls = self._LEVELS[depth]
+        sym, cls = _CONNECTIVES[depth]
         parts = [self.formula(depth + 1)]
-        while self.peek().kind == kind:
+        while self.peek().kind == sym:
             self.next()
             parts.append(self.formula(depth + 1))
         acc = parts[-1]
@@ -573,18 +566,22 @@ class _Parser:
         return acc
 
     def negation(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.next()
-            return Not(self.negation())
-        if tok.kind == "QUANT":
-            return self.quantified()
-        if tok.kind == "LPAREN":
+        start = self.pos
+        while self.peek().kind == "~":
+            self.pos += 1
+        run = self.pos - start
+        kind = self.peek().kind
+        if kind == "QUANT":
+            f = self.quantified()
+        elif kind == "(":
             self.next()
             f = self.formula()
-            self.expect("RPAREN", "')'")
-            return f
-        return self.atom()
+            self.expect(")")
+        else:
+            f = self.atom()
+        for _ in range(run):
+            f = Not(f)
+        return f
 
     def quantified(self) -> Formula:
         binders: list[tuple[type, str, Term | None]] = []
@@ -593,14 +590,13 @@ class _Parser:
             cls = Forall if tok.value == "A" else Exists
             name_tok = self.expect("IDENT", "variable name")
             name = name_tok.value
-            if name in _RESERVED_TERM_IDENTS:
-                raise FolSyntaxError(f"{name!r} is reserved and cannot be a variable",
-                                     name_tok.line, name_tok.column)
+            if name in _APPLIED:
+                self.fail(f"{name!r} is reserved and cannot be a variable", name_tok)
             bound = None
-            if self.peek().kind == "LT":
+            if self.peek().kind == "<":
                 self.next()
                 bound = self.term()
-            self.expect("DOT", "'.'")
+            self.expect(".")
             binders.append((cls, name, bound))
         body = self.formula()
         for cls, name, bound in reversed(binders):
@@ -613,61 +609,38 @@ class _Parser:
         return body
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.value == "tau" and self.tokens[self.pos + 1].kind == "LPAREN":
-            self.next()
-            self.next()
-            prog = self.term()
-            self.expect("COMMA", "','")
-            arg = self.term()
-            self.expect("COMMA", "','")
-            steps = self.term()
-            self.expect("RPAREN", "')'")
-            return Tau(prog, arg, steps)
-        left = self.term()
-        rel = self.peek()
-        if rel.kind == "LT":
-            self.next()
-            return Less(left, self.term())
-        if rel.kind == "EQ":
-            self.next()
-            return Eq(left, self.term())
-        if rel.kind == "LE":
-            self.next()
-            right = self.term()
-            return Or(Less(left, right), Eq(left, right))
-        if rel.kind == "GT":
-            self.next()
-            return Less(self.term(), left)
-        self.fail("expected a relation (<, =, <=, >) after a term")
+        left = self.term(_APPLIED)
+        if isinstance(left, Tau):
+            return left
+        relation = _RELATIONS.get(self.peek().kind)
+        if relation is None:
+            self.fail(f"expected a relation ({', '.join(_RELATIONS)}) after a term")
+        self.next()
+        return relation(left, self.term())
 
-    def term(self) -> Term:
+    def term(self, heads=("s", "pi")) -> Term:
+        """A term; ``heads`` are the applied names accepted at the top (the
+        arguments are terms again, one call of this method per level)."""
         tok = self.peek()
         if tok.kind == "NUM":
             self.next()
             return Num(tok.value)
-        if tok.kind == "IDENT":
-            name = tok.value
-            if name == "s" and self.tokens[self.pos + 1].kind == "LPAREN":
-                self.next()
-                self.next()
-                inner = self.term()
-                self.expect("RPAREN", "')'")
-                return succ(inner)
-            if name == "pi" and self.tokens[self.pos + 1].kind == "LPAREN":
-                self.next()
-                self.next()
-                left = self.term()
-                self.expect("COMMA", "','")
-                right = self.term()
-                self.expect("RPAREN", "')'")
-                return Pi(left, right)
-            if name in _RESERVED_TERM_IDENTS:
-                raise FolSyntaxError(f"{name!r} is reserved and cannot be a variable",
-                                     tok.line, tok.column)
+        if tok.kind != "IDENT":
+            self.fail("expected a term")
+        name = tok.value
+        if name not in _APPLIED:
             self.next()
             return Var(name)
-        self.fail("expected a term")
+        if name not in heads or self.tokens[self.pos + 1].kind != "(":
+            self.fail(f"{name!r} is reserved and cannot be a variable")
+        build, arity = _APPLIED[name]
+        self.pos += 2
+        args = [self.term()]
+        while len(args) < arity:
+            self.expect(",")
+            args.append(self.term())
+        self.expect(")")
+        return build(*args)
 
 
 def parse_term(text: str) -> Term:

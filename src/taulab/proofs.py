@@ -38,7 +38,7 @@ from .codec import decode_program_code, pair, program_code, unpair
 from .fol import (
     And, Eq, Exists, FolError, Forall, Formula, Iff, Imp, Less, Node, Not,
     Num, Or, Pi, Succ, Tau, Var, format_formula, free_vars, parse_formula,
-    substitute, succ,
+    _APPLIED, substitute, succ,
 )
 from .tpl import output_code, run_code
 
@@ -386,7 +386,7 @@ def check_proof(proof: Proof, oracle, target: Formula | None = None,
             i = just.premise
             if not 0 <= i < k:
                 return fail("malformed_ref", k)
-            if not _VAR_NAME.match(just.var) or just.var in ("s", "pi", "tau"):
+            if not _VAR_NAME.match(just.var) or just.var in _APPLIED:
                 return fail("unjustified", k)
             fi = formulas[i]
             if fi is None:

@@ -5,6 +5,13 @@ from the grammar and precedence table before the printer existed, then
 pinned.  The printer/parser pair must reproduce them byte for byte.
 """
 
+import hashlib
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +121,18 @@ def test_right_associativity():
     assert parse_formula("x = 0 <-> y = 0 <-> z = 0") == Iff(a, Iff(b, c))
 
 
+def test_precedence_table_in_the_docs_matches_the_connectives():
+    from taulab.fol import _CONNECTIVES, _PREC
+    docs = Path(__file__).resolve().parents[1] / "docs" / "fol_grammar.md"
+    rows = re.findall(r"^\| (\d+) +\| `(.*?)` +\|$", docs.read_text(encoding="utf-8"), re.M)
+    documented = {sym.replace("\\|", "|"): int(level) for level, sym in rows}
+    want = {sym: _PREC[cls] for sym, cls in _CONNECTIVES}
+    assert documented == {**want, "~": _PREC[Not]}
+    # loosest first, tightest last, negation tighter still
+    assert list(want.values()) == list(range(1, len(_CONNECTIVES) + 1))
+    assert _PREC[Not] == len(_CONNECTIVES) + 1
+
+
 def test_quantifier_scope_is_maximal():
     f = parse_formula("A x. x = 0 -> 0 < x")
     assert f == Forall("x", Imp(Eq(x, Num(0)), Less(Num(0), x)))
@@ -145,6 +164,48 @@ def test_syntax_errors_carry_positions():
                 "X < 0", "x << y", "A x x = 0"):
         with pytest.raises(FolSyntaxError):
             parse_formula(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the tokenizer
+    ("x - y", "stray '-' (did you mean '->') (line 1, column 3)"),
+    ("0 = 0 <- 0 = 0", "stray '-' (did you mean '->') (line 1, column 8)"),
+    ("x <-= y", "stray '-' (did you mean '->') (line 1, column 4)"),
+    ("0 < #", "'#' must be followed by digits (line 1, column 5)"),
+    ("12 < x", "bare number '12'; numerals other than 0 are written #<digits> "
+               "(line 1, column 1)"),
+    ("A1 = 0", "unexpected character 'A' (line 1, column 1)"),
+    # reserved names as variables and as terms
+    ("A s. s = 0", "'s' is reserved and cannot be a variable (line 1, column 3)"),
+    ("E tau. 0 = 0", "'tau' is reserved and cannot be a variable (line 1, column 3)"),
+    ("pi = 0", "'pi' is reserved and cannot be a variable (line 1, column 1)"),
+    ("0 < tau", "'tau' is reserved and cannot be a variable (line 1, column 5)"),
+    ("s(tau(0, 0, 0)) = 0", "'tau' is reserved and cannot be a variable (line 1, column 3)"),
+    # missing ')', ',' and '.'
+    ("(0 = 0", "expected ')', found None (line 1, column 7)"),
+    ("s(x = 0", "expected ')', found '=' (line 1, column 5)"),
+    ("pi(x y) = 0", "expected ',', found 'y' (line 1, column 6)"),
+    ("tau(0, 0) = 0", "expected ',', found ')' (line 1, column 9)"),
+    ("tau(0, 0 0)", "expected ',', found 0 (line 1, column 10)"),
+    ("A x x = 0", "expected '.', found 'x' (line 1, column 5)"),
+    ("E x < 0 0 = 0", "expected '.', found 0 (line 1, column 9)"),
+    ("A x. E", "expected variable name, found None (line 1, column 7)"),
+    # a missing relation, a missing term, trailing input
+    ("x & y", "expected a relation (<, =, <=, >) after a term (line 1, column 3)"),
+    ("x => y", "expected a term (line 1, column 4)"),
+    ("~", "expected a term (line 1, column 2)"),
+    ("0 = 0 0", "expected end of input, found 0 (line 1, column 7)"),
+    ("0 = 0)", "expected end of input, found ')' (line 1, column 6)"),
+    # lines are counted and columns restart after each newline
+    ("0 = 0 &\n  x - y", "stray '-' (did you mean '->') (line 2, column 5)"),
+    ("0 = 0 &\n\n  (x < y", "expected ')', found None (line 3, column 9)"),
+])
+def test_syntax_error_texts(text, message):
+    with pytest.raises(FolSyntaxError) as info:
+        parse_formula(text)
+    assert str(info.value) == message
+    line, column = map(int, re.search(r"line (\d+), column (\d+)\)$", message).groups())
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +386,104 @@ def test_deep_negation_chain_round_trips():
 def test_long_left_nested_conjunction_round_trips():
     f = conjoin_left([Less(x, Num(i)) for i in range(1500)])
     assert parse_formula(format_formula(f)) == f
+
+
+def test_deep_successor_nesting_parses():
+    # the term parser spends one frame per nesting level
+    text = "s(" * 10_000 + "x" + ")" * 10_000
+    assert parse_formula(text + " = 0") == Eq(succ(x, 10_000), Num(0))
+
+
+def test_negation_runs_round_trip_at_the_default_recursion_limit():
+    # a run of ~ is counted, not recursed, by the parser and by the printer
+    script = "\n".join([
+        "import sys",
+        "import taulab",
+        "sys.setrecursionlimit(1000)",
+        "from taulab.fol import format_formula, parse_formula",
+        "f = parse_formula('~' * 30000 + '0 = 0')",
+        "text = format_formula(f)",
+        "assert text == '~' * 30000 + '(0 = 0)', text[-20:]",
+        "assert parse_formula(text) == f",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+# --------------------------------------------------------------------------
+# a frozen corpus: random texts from grammar pieces, and printed random
+# formulas with none, one or two token edits.  Each text's outcome (its
+# canonical print, or its error with line and column) goes into one digest.
+
+_PIECES = ("0", "#7", "#12", "#", "x", "y", "v_1", "s", "pi", "tau", "s(", "pi(",
+           "tau(", "(", ")", ",", ".", "~", "&", "|", "->", "<->", "<", "<=",
+           "=", ">", "A", "E", "-", "A1", "X", "12", "0\xb2", "\n")
+_SWAPS = {"<": ("=", "<=", ">"), "=": ("<", "<=", ">"), "&": ("|", "->", "<->"),
+          "|": ("&", "->", "<->"), "->": ("&", "|", "<->"), "<->": ("&", "|", "->"),
+          "A": ("E",), "E": ("A",), "x": ("y", "0", "#7"), "y": ("x", "0", "#7")}
+_SEPARATORS = (" ",) * 8 + ("", "\n")
+_TOKEN = re.compile(r"<->|->|<=|[A-Za-z_][A-Za-z0-9_]*|#[0-9]*|[0-9]+|\S")
+
+
+def _corpus_term(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.5:
+        return Num(rng.randrange(12)) if roll < 0.25 else Var(rng.choice("xyz"))
+    if roll < 0.8:
+        return succ(_corpus_term(rng, depth - 1))
+    return Pi(_corpus_term(rng, depth - 1), _corpus_term(rng, depth - 1))
+
+
+def _corpus_formula(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        ctor = rng.choice((Less, Eq, Tau))
+        return ctor(*(_corpus_term(rng, 2) for _ in ctor.__match_args__))
+    if roll < 0.45:
+        return Not(_corpus_formula(rng, depth - 1))
+    if roll < 0.6:
+        return rng.choice((Forall, Exists))(rng.choice("xyz"), _corpus_formula(rng, depth - 1))
+    ctor = rng.choice((And, Or, Imp, Iff))
+    return ctor(_corpus_formula(rng, depth - 1), _corpus_formula(rng, depth - 1))
+
+
+def _corpus_texts(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.4:
+            parts = [rng.choice(_PIECES) for _ in range(rng.randrange(1, 12))]
+        else:
+            parts = _TOKEN.findall(format_formula(_corpus_formula(rng, 4)))
+            for _ in range(rng.randrange(3)):
+                k = rng.randrange(len(parts))
+                edit = rng.randrange(6)
+                if edit == 0 and len(parts) > 1:
+                    del parts[k]
+                elif edit == 1:
+                    parts.insert(k, rng.choice(_PIECES))
+                elif edit == 2:
+                    parts[k] = rng.choice(_PIECES)
+                elif edit == 3 and k + 1 < len(parts):
+                    parts[k], parts[k + 1] = parts[k + 1], parts[k]
+                elif edit == 4:
+                    parts.insert(k, "~")
+                elif parts[k] in _SWAPS:
+                    parts[k] = rng.choice(_SWAPS[parts[k]])
+        yield "".join(part + rng.choice(_SEPARATORS) for part in parts)
+
+
+def _outcome(text):
+    try:
+        return "ok " + format_formula(parse_formula(text))
+    except FolSyntaxError as error:
+        return f"{type(error).__name__} {error} {error.line}:{error.column}"
+
+
+def test_frozen_corpus_outcomes():
+    outcomes = [_outcome(text) for text in _corpus_texts(20261018, 5000)]
+    parsed = sum(o.startswith("ok ") for o in outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+    assert (parsed, digest) == (1260, "17c3ad53c4d05f85")
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,10 @@ POSITIVE_INSTANCES = [
     ("(A x. 0 = 0) -> 0 = 0", "forall-elim"),          # vacuous
     ("(A x. x < s(x)) -> #3 < #4", "forall-elim"),     # folds the numeral
     ("(A x. E y. x < y) -> E y0. y < y0", "forall-elim"),  # renamed binder
+    # the candidate term for x is peeled out of successors in the instance
+    ("(A x. s(x) = s(x)) -> s(s(y)) = s(s(y))", "forall-elim"),  # x := s(y)
+    ("(A x. s(y) = x) -> s(y) = #3", "forall-elim"),    # s(y) is not over x
+    ("(A x. s(x) < x) -> s(pi(y,0)) < pi(y,0)", "forall-elim"),
     ("0 = 0 -> E x. x = x", "exists-intro"),
     ("#3 < #4 -> E x. x < s(x)", "exists-intro"),
     ("0 = 0 & 0 < #1 -> 0 = 0", "and-elim-left"),
@@ -92,6 +96,7 @@ NON_INSTANCES = [
     "0 = 0 -> 0 < #1",
     "x = y -> s(y) = s(x)",                 # successor congruence, swapped
     "(A x. x < s(x)) -> #3 < #5",           # wrong numeral
+    "(A x. s(s(x)) = 0) -> s(y) = 0",       # two successors to peel, one there
     "0 < 0",
     # near misses: one occurrence of a repeated pattern variable differs,
     # or a side condition fails (schema and variable named on each line)
@@ -253,6 +258,43 @@ def test_budget_exhaustion_is_not_a_verdict():
     proof = Proof((ProofStep(None, TheoryAxiom(0)),))
     result = check_proof(proof, oracle, None, step_budget=50)
     assert not result.ok and result.kind == "budget" and result.consumed == 50
+
+
+def test_a_logical_axiom_step_needs_its_formula():
+    proof = Proof((ProofStep(None, LogicalAxiom("eq-refl")),))
+    assert check_proof(proof, None).kind == "missing_formula"
+
+
+@pytest.mark.parametrize("index", [True, -1, "3"])
+def test_theory_axiom_indices_must_be_naturals(index):
+    proof = Proof((ax("0 = 0", index),))
+    assert check_proof(proof, host_set("0 = 0")).kind == "unjustified"
+
+
+def test_an_enumerator_output_that_does_not_parse_justifies_nothing():
+    oracle = EnumeratorIndexed(program_code('out = tonat("0 <"); halt;'))
+    result = check_proof(Proof((ProofStep(None, TheoryAxiom(0)),)), oracle)
+    assert (result.kind, result.step, result.consumed) == ("unjustified", 0, 2)
+
+
+def test_modus_ponens_derives_its_formula_from_coded_steps():
+    enum = ('if (in == 0) { out = tonat("0 = 0"); halt; }'
+            'out = tonat("0 = 0 -> 0 < #1"); halt;')
+    oracle = EnumeratorIndexed(program_code(enum))
+    code = proof_to_code(Proof((ProofStep(None, TheoryAxiom(0)),
+                                ProofStep(None, TheoryAxiom(1)),
+                                ProofStep(None, ModusPonens(0, 1)))))
+    proof = code_to_proof(code)
+    assert [s.formula for s in proof.steps] == [None, None, None]
+    result = check_proof(proof, oracle, parse_formula("0 < #1"))
+    assert result.ok and result.formulas[-1] == parse_formula("0 < #1")
+    coded = check_coded_proof(oracle.enum_code, code, program_code("0 < #1"), 10 ** 6)
+    assert coded.ok and coded.consumed == result.consumed
+
+
+def test_an_unknown_justification_is_unjustified():
+    proof = Proof((ProofStep(parse_formula("0 = 0"), object()),))
+    assert check_proof(proof, None).kind == "unjustified"
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import random_order_sentences
 
 from taulab.codec import pair, program_code
 from taulab.fol import (
-    Eq, Forall, Iff, Less, Not, Num, Or, Var,
+    Eq, Forall, Formula, Iff, Less, Not, Num, Or, Tau, Var,
     FreeVariableError, conjoin_left, disjoin_right, format_formula,
     parse_formula, parse_sentence, substitute,
 )
@@ -314,6 +314,28 @@ def test_order_extension_derivability():
     assert order_extension_derives([a, parse_sentence("#1 < #2")], b)
 
 
+def _tau_to_truth(f):
+    if isinstance(f, Tau):
+        return Eq(Num(0), Num(0))
+    fields = (getattr(f, name) for name in type(f).__match_args__)
+    return type(f)(*(_tau_to_truth(v) if isinstance(v, Formula) else v for v in fields))
+
+
+def test_the_order_decider_takes_every_tau_atom_as_true():
+    # closed records are not run: code 1 decodes to no program, so the
+    # record is false in the standard model, yet the decider says true
+    record = parse_sentence("tau(#1, 0, #5)")
+    assert decide_order_theory(record) == TRUE_IN_STD
+    assert eval_std(record) == FALSE_IN_STD
+    for text in (f"tau(#{HALTER}, 0, 0) & 0 = 0",
+                 f"A x. (tau(#{HALTER}, x, x) -> x < #3)",
+                 "E x. (~tau(x, 0, x) & x < #2)",
+                 "A x. E y. (x < y & (tau(y, x, #4) <-> ~(y = s(x))))",
+                 f"~tau(#{LOOPER}, 0, #5) | 0 < 0"):
+        f = parse_sentence(text)
+        assert order_truth(f) is order_truth(_tau_to_truth(f)), text
+
+
 # --------------------------------------------------------------------------
 # standard-model evaluation
 
@@ -351,6 +373,24 @@ def test_eval_pairing_atoms():
     assert eval_std(parse_sentence("pi(#1, #2) = #10")) == TRUE_IN_STD
     assert eval_std(parse_sentence("E x. pi(x, x) = #18"), budget=5) == TRUE_IN_STD
     assert eval_std(parse_sentence("E x. pi(x, x) = #12"), budget=50) == unknown(50)
+
+
+_LOOP_SEARCH = f"(E x. tau(#{LOOPER}, 0, x))"
+
+
+@pytest.mark.parametrize("text, verdict", [
+    (f"{_LOOP_SEARCH} | 0 = #1", unknown(20)),
+    (f"{_LOOP_SEARCH} & 0 = 0", unknown(20)),
+    (f"0 = 0 -> {_LOOP_SEARCH}", unknown(20)),
+    (f"{_LOOP_SEARCH} <-> 0 = 0", unknown(20)),
+    (f"A y. ({_LOOP_SEARCH} | y = y)", unknown(20)),
+    (f"{_LOOP_SEARCH} -> 0 = 0", TRUE_IN_STD),
+    (f"{_LOOP_SEARCH} | 0 = 0", TRUE_IN_STD),
+    (f"{_LOOP_SEARCH} & 0 = #1", FALSE_IN_STD),
+])
+def test_eval_connectives_are_three_valued(text, verdict):
+    # an unsettled operand decides nothing unless the other one does
+    assert eval_std(parse_sentence(text), budget=20) == verdict
 
 
 def test_eval_requires_sentences():

@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taulab.codec import pair, program_code
+from taulab.codec import nat_to_decimal, pair, program_code
 import taulab
 from taulab.constructions import rosser_pair
+from taulab.fol import format_formula
+from taulab.theories import ORDER_AXIOMS
 from taulab.tpl import (
     _BUILTINS, _lex,
     DigitLoop, If, Machine, TemplateError, TplProgram, TplSyntaxError, While,
@@ -430,6 +432,20 @@ def test_runout_faults_when_the_target_does_not_halt():
     assert not m.halted and m.fault is not None
     m2 = run("x = runout(1, 0, 5); halt;", budget=10_000)
     assert not m2.halted and m2.fault is not None
+
+
+@pytest.mark.parametrize("budget", range(1, 9))
+def test_checkproof_out_of_budget_is_not_a_verdict(budget):
+    # proof code 10 cites slot 0 of enum_s, the first order axiom; the
+    # enumerator run costs 4 steps, charged on top of the assignment
+    e = nat_to_decimal(program_code(template_source("enum_s")))
+    t = program_code(format_formula(ORDER_AXIOMS[0]))
+    m = run(f"out = checkproof({e}, 10, {t}); halt;", 0, budget)
+    assert m.fault is None
+    if budget < 5:
+        assert (m.halted, m.steps, "out" in m.env) == (False, budget, False)
+    else:
+        assert (m.halted, m.steps, m.env["out"]) == (budget > 5, min(budget, 6), 1)
 
 
 def test_output_code_packs_strings():
