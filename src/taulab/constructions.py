@@ -47,6 +47,7 @@ from .fol import (
     conjoin_left,
     format_formula,
     free_vars,
+    node_count,
     parse_formula,
     rosser_sentence,
     substitute,
@@ -108,11 +109,6 @@ def _all_names(f: Formula) -> set[str]:
 def _existentials_preorder(f: Formula) -> list[Exists]:
     """All existential subformulas of f, outermost-and-leftmost first."""
     return [n for n in walk(f) if isinstance(n, Exists)]
-
-
-def _node_count(f: Formula) -> int:
-    """Number of formula nodes in f; terms are not counted."""
-    return sum(1 for n in walk(f) if isinstance(n, Formula))
 
 
 _SYMBOL_OF = {Less: "<", Eq: "=", Tau: "tau", Succ: "s", Pi: "pi"}
@@ -319,7 +315,7 @@ class CraigArtifact:
 
     def member(self, sentence: Formula) -> bool:
         """Host-side membership: structural equality with some prefix."""
-        target_size = _node_count(sentence)
+        target_size = node_count(sentence)
         acc: Formula | None = None
         for index in count():
             got, _, _ = self._stream.materialize(index, self.step_budget)
@@ -328,7 +324,7 @@ class CraigArtifact:
             acc = got if acc is None else And(acc, got)
             if acc == sentence:
                 return True
-            if _node_count(acc) >= target_size:
+            if node_count(acc) >= target_size:
                 return False
 
     def proof_of_axiom(self, index: int) -> Proof:

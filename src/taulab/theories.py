@@ -305,37 +305,62 @@ def unknown(budget: int) -> Verdict:
 # --------------------------------------------------------------------------
 # quantifier elimination for the order fragment
 #
-# Constraint atoms are triples over bases (a variable's internal name, or 0
-# for the fixed zero point) with an integer offset:
+# The internal language is nested tuples over bases (a variable's internal
+# name, or 0 for the fixed zero point) with integer offsets:
 #
-#     ("lt", u, v, c)   val(u) <  val(v) + c
-#     ("eq", u, v, c)   val(u) == val(v) + c
-#     ("ne", u, v, c)   val(u) != val(v) + c
+#     ("lt", u, v, c)          val(u) <  val(v) + c
+#     ("eq", u, v, c)          val(u) == val(v) + c
+#     ("ne", u, v, c)          val(u) != val(v) + c
+#     ("and", parts)           every part holds (a tuple of two or more)
+#     ("or", parts)            some part holds (a tuple of two or more)
+#     ("ex", name, body)       some value of the bound name satisfies body
+#     ("all", name, body)      every value of the bound name satisfies body
 #
-# Same-base atoms fold to booleans at construction, so ground formulas
-# collapse as elimination proceeds.
+# with True and False for decided nodes.  ``_atom`` folds a same-base atom to
+# its boolean, and ``_junction`` flattens nested junctions of its own tag and
+# folds constant parts by ``_UNITS``: the part value that decides the
+# junction, and the one it drops.  So ground formulas collapse as
+# elimination proceeds.  Every dual is written once, in ``_DUAL``; "lt" is
+# its own dual, with its sides swapped: not (u < v + c) iff v < u + (1 - c).
 
 _ZERO = 0
 
 _DNF_TERM_CAP = 500_000
 
+_DUAL = {"and": "or", "or": "and", "ex": "all", "all": "ex", "eq": "ne", "ne": "eq"}
 
-def _mk_lt(u, v, c):
-    if u == v:
-        return c > 0
-    return ("lt", u, v, c)
+_UNITS = {"and": (False, True), "or": (True, False)}
 
-
-def _mk_eq(u, v, c):
-    if u == v:
-        return c == 0
-    return ("eq", u, v, c)
+_JUNCTIONS = {And: ("and", False), Or: ("or", False), Imp: ("or", True)}   # tag, left negated
 
 
-def _mk_ne(u, v, c):
-    if u == v:
-        return c != 0
-    return ("ne", u, v, c)
+def _atom(tag, u, v, c):
+    if u != v:
+        return (tag, u, v, c)
+    return c > 0 if tag == "lt" else (c == 0) == (tag == "eq")
+
+
+def _dual_atom(tag, u, v, c):
+    """The atom that holds exactly when (tag, u, v, c) fails."""
+    if tag == "lt":
+        return _atom("lt", v, u, 1 - c)
+    return _atom(_DUAL[tag], u, v, c)
+
+
+def _junction(tag, parts):
+    decisive, unit = _UNITS[tag]
+    flat = []
+    for p in parts:
+        if type(p) is tuple:
+            if p[0] == tag:
+                flat.extend(p[1])
+            else:
+                flat.append(p)
+        elif p is decisive:
+            return decisive
+    if len(flat) == 1:
+        return flat[0]
+    return (tag, tuple(flat)) if flat else unit
 
 
 def _base_offset(t: Term, names: dict[str, object]):
@@ -352,96 +377,42 @@ def _base_offset(t: Term, names: dict[str, object]):
 
 def _to_internal(f: Formula, positive: bool, names: dict[str, object], fresh) -> object:
     """NNF over constraint atoms; binders renamed apart; tau totalized."""
-    if isinstance(f, Tau):
+    kind = type(f)
+    if kind is Tau:
         return positive
-    if isinstance(f, Less):
+    if kind is Less or kind is Eq:
         a, i = _base_offset(f.left, names)
         b, j = _base_offset(f.right, names)
-        return _mk_lt(a, b, j - i) if positive else _mk_lt(b, a, i - j + 1)
-    if isinstance(f, Eq):
-        a, i = _base_offset(f.left, names)
-        b, j = _base_offset(f.right, names)
-        return _mk_eq(a, b, j - i) if positive else _mk_ne(a, b, j - i)
-    if isinstance(f, Not):
+        return (_atom if positive else _dual_atom)("lt" if kind is Less else "eq", a, b, j - i)
+    if kind is Not:
         return _to_internal(f.inner, not positive, names, fresh)
-    if isinstance(f, And) or isinstance(f, Or):
-        both_and = isinstance(f, And) == positive
-        parts = (_to_internal(f.left, positive, names, fresh),
+    if kind in _JUNCTIONS:
+        tag, left_negated = _JUNCTIONS[kind]
+        parts = (_to_internal(f.left, positive != left_negated, names, fresh),
                  _to_internal(f.right, positive, names, fresh))
-        return _mk_and(parts) if both_and else _mk_or(parts)
-    if isinstance(f, Imp):
-        parts = (_to_internal(f.left, not positive, names, fresh),
-                 _to_internal(f.right, positive, names, fresh))
-        return _mk_or(parts) if positive else _mk_and(parts)
-    if isinstance(f, Iff):
+        return _junction(tag if positive else _DUAL[tag], parts)
+    if kind is Iff:
         pl = _to_internal(f.left, True, names, fresh)
         nl = _to_internal(f.left, False, names, fresh)
         pr = _to_internal(f.right, True, names, fresh)
         nr = _to_internal(f.right, False, names, fresh)
         if positive:
-            return _mk_and((_mk_or((nl, pr)), _mk_or((nr, pl))))
-        return _mk_or((_mk_and((pl, nr)), _mk_and((pr, nl))))
-    if isinstance(f, (Forall, Exists)):
+            return _junction("and", (_junction("or", (nl, pr)), _junction("or", (nr, pl))))
+        return _junction("or", (_junction("and", (pl, nr)), _junction("and", (pr, nl))))
+    if kind is Forall or kind is Exists:
         inner_name = next(fresh)
-        scoped = dict(names)
-        scoped[f.var] = inner_name
-        body = _to_internal(f.body, positive, scoped, fresh)
-        existential = isinstance(f, Exists) == positive
-        return ("ex" if existential else "all", inner_name, body)
+        body = _to_internal(f.body, positive, {**names, f.var: inner_name}, fresh)
+        tag = "ex" if kind is Exists else "all"
+        return (tag if positive else _DUAL[tag], inner_name, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _mk_and(parts):
-    flat = []
-    for p in parts:
-        if p is False:
-            return False
-        if p is True:
-            continue
-        if isinstance(p, tuple) and p[0] == "and":
-            flat.extend(p[1])
-        else:
-            flat.append(p)
-    if not flat:
-        return True
-    if len(flat) == 1:
-        return flat[0]
-    return ("and", tuple(flat))
-
-
-def _mk_or(parts):
-    flat = []
-    for p in parts:
-        if p is True:
-            return True
-        if p is False:
-            continue
-        if isinstance(p, tuple) and p[0] == "or":
-            flat.extend(p[1])
-        else:
-            flat.append(p)
-    if not flat:
-        return False
-    if len(flat) == 1:
-        return flat[0]
-    return ("or", tuple(flat))
-
-
 def _neg_qf(node):
-    if node is True:
-        return False
-    if node is False:
-        return True
-    tag = node[0]
-    if tag == "lt":
-        return _mk_lt(node[2], node[1], 1 - node[3])
-    if tag == "eq":
-        return _mk_ne(node[1], node[2], node[3])
-    if tag == "ne":
-        return _mk_eq(node[1], node[2], node[3])
-    if tag == "and":
-        return _mk_or(tuple(_neg_qf(p) for p in node[1]))
-    return _mk_and(tuple(_neg_qf(p) for p in node[1]))
+    if type(node) is not tuple:
+        return not node
+    if node[0] in ("and", "or"):
+        return _junction(_DUAL[node[0]], [_neg_qf(p) for p in node[1]])
+    return _dual_atom(*node)
 
 
 def _bkey(base):
@@ -514,10 +485,8 @@ def _normalize_term(atoms) -> tuple | None:
 
 
 def _dnf(node) -> list[tuple]:
-    if node is True:
-        return [()]
-    if node is False:
-        return []
+    if type(node) is not tuple:
+        return [()] if node else []
     tag = node[0]
     if tag in ("lt", "eq", "ne"):
         return [(node,)]
@@ -579,13 +548,13 @@ def _eliminate_term(x, atoms) -> list[tuple]:
         v0, c0 = eqs[0]
         cons: list[object] = []
         for v, c in eqs[1:]:
-            cons.append(_mk_eq(v0, v, c - c0))
+            cons.append(_atom("eq", v0, v, c - c0))
         for w, j in lowers:                      # w + j <= v0 + c0
-            cons.append(_mk_lt(w, v0, c0 - j + 1))
+            cons.append(_atom("lt", w, v0, c0 - j + 1))
         for u, e in uppers:                      # v0 + c0 <= u + e
-            cons.append(_mk_lt(v0, u, e - c0 + 1))
+            cons.append(_atom("lt", v0, u, e - c0 + 1))
         for w, p in punct:                       # v0 + c0 != w + p
-            cons.append(_mk_ne(v0, w, p - c0))
+            cons.append(_atom("ne", v0, w, p - c0))
         if any(c is False for c in cons):
             return []
         return [tuple(others) + tuple(c for c in cons if c is not True)]
@@ -601,7 +570,7 @@ def _eliminate_term(x, atoms) -> list[tuple]:
         for jdx, (w, j) in enumerate(lowers):
             if jdx == idx:
                 continue
-            m = _mk_lt(w, v, k - j + 1)          # w + j <= v + k
+            m = _atom("lt", w, v, k - j + 1)          # w + j <= v + k
             if m is False:
                 dead = True
                 break
@@ -614,7 +583,7 @@ def _eliminate_term(x, atoms) -> list[tuple]:
             cons = list(maxness)
             alive = True
             for u, e in uppers:                  # v + offset <= u + e
-                c = _mk_lt(v, u, e - offset + 1)
+                c = _atom("lt", v, u, e - offset + 1)
                 if c is False:
                     alive = False
                     break
@@ -622,7 +591,7 @@ def _eliminate_term(x, atoms) -> list[tuple]:
                     cons.append(c)
             if alive:
                 for w, p in punct:               # v + offset != w + p
-                    c = _mk_ne(v, w, p - offset)
+                    c = _atom("ne", v, w, p - offset)
                     if c is False:
                         alive = False
                         break
@@ -644,23 +613,19 @@ def _eliminate(x, qf):
             key = frozenset(merged)
             if key not in seen:
                 seen.add(key)
-                parts.append(_mk_and(merged))
-    return _mk_or(parts)
+                parts.append(_junction("and", merged))
+    return _junction("or", parts)
 
 
 def _qe(node):
-    if node is True or node is False:
+    if type(node) is not tuple or node[0] in ("lt", "eq", "ne"):
         return node
     tag = node[0]
-    if tag in ("lt", "eq", "ne"):
-        return node
-    if tag == "and":
-        return _mk_and(tuple(_qe(p) for p in node[1]))
-    if tag == "or":
-        return _mk_or(tuple(_qe(p) for p in node[1]))
     if tag == "ex":
         return _eliminate(node[1], _qe(node[2]))
-    return _neg_qf(_eliminate(node[1], _neg_qf(_qe(node[2]))))
+    if tag == "all":
+        return _neg_qf(_eliminate(node[1], _neg_qf(_qe(node[2]))))
+    return _junction(tag, [_qe(p) for p in node[1]])
 
 
 def order_truth(sentence: Formula) -> bool:
@@ -695,63 +660,47 @@ def order_extension_derives(assumptions: Iterable[Formula], goal: Formula) -> bo
 # --------------------------------------------------------------------------
 # standard-model evaluation
 
-@dataclass(frozen=True, slots=True)
-class _Profile:
-    max_num: int
-    max_chain: int
-    qdepth: int
-    impure: bool          # mentions tau or pi
+def _profile(f: Formula, memo: dict) -> tuple[int, int, int, bool]:
+    """(largest numeral, longest run of successors, quantifier depth, mentions
+    tau or pi) of f, memoized by identity.
 
-
-def _term_stats(t: Term) -> tuple[int, int, bool]:
-    max_num = 0
-    max_chain = 0
-    has_pi = False
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        chain = 0
-        while isinstance(node, Succ):
-            chain += 1
-            node = node.inner
-        if chain > max_chain:
-            max_chain = chain
-        if isinstance(node, Num):
-            if node.value > max_num:
-                max_num = node.value
-        elif isinstance(node, Pi):
-            has_pi = True
-            stack.append(node.left)
-            stack.append(node.right)
-    return max_num, max_chain, has_pi
-
-
-def _profile(f: Formula, memo: dict) -> _Profile:
+    The walk keeps its own stack, so it recurses only into quantifier
+    bodies, whose profiles go through the same memo.  It stops at the first
+    tau or pi: an impure profile is read only for its flag.
+    """
     key = id(f)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if isinstance(f, Tau):
-        result = _Profile(0, 0, 0, True)
-    elif isinstance(f, (Less, Eq)):
-        ln, lc, lp = _term_stats(f.left)
-        rn, rc, rp = _term_stats(f.right)
-        result = _Profile(max(ln, rn), max(lc, rc), 0, lp or rp)
-    elif isinstance(f, Not):
-        result = _profile(f.inner, memo)
-    elif isinstance(f, (And, Or, Imp, Iff)):
-        left = _profile(f.left, memo)
-        right = _profile(f.right, memo)
-        result = _Profile(max(left.max_num, right.max_num),
-                          max(left.max_chain, right.max_chain),
-                          max(left.qdepth, right.qdepth),
-                          left.impure or right.impure)
-    elif isinstance(f, (Forall, Exists)):
-        inner = _profile(f.body, memo)
-        result = _Profile(inner.max_num, inner.max_chain, inner.qdepth + 1, inner.impure)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = result
+    max_num = max_run = depth = 0
+    impure = False
+    stack = [f]
+    while stack and not impure:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Succ:
+            run = 0
+            while type(node) is Succ:
+                run += 1
+                node = node.inner
+            if run > max_run:
+                max_run = run
+            stack.append(node)
+        elif kind is Num:
+            if node.value > max_num:
+                max_num = node.value
+        elif kind is Tau or kind is Pi:
+            impure = True
+        elif kind is Forall or kind is Exists:
+            num, run, qdepth, impure = _profile(node.body, memo)
+            max_num, max_run = max(max_num, num), max(max_run, run)
+            depth = max(depth, qdepth + 1)
+        elif kind is Not:
+            stack.append(node.inner)
+        elif kind is not Var:
+            stack.append(node.right)
+            stack.append(node.left)
+    memo[key] = result = (max_num, max_run, depth, impure)
     return result
 
 
@@ -826,18 +775,18 @@ def _ev(f: Formula, env: dict[str, int], budget: int, memo: dict):
         return a is b
     if isinstance(f, (Forall, Exists)):
         exist = isinstance(f, Exists)
-        prof = _profile(f.body, memo)
-        if prof.impure:
+        max_num, max_run, depth, impure = _profile(f.body, memo)
+        if impure:
             bound = budget
         else:
             # Exhaustive, not heuristic: two values whose distance to every
-            # numeral and parameter exceeds (chain + 1) * 2^depth cannot be
+            # numeral and parameter exceeds (run + 1) * 2^depth cannot be
             # told apart by the remaining quantifiers (each round can at
-            # most halve the gap a formula distinguishes, successor offsets
-            # widen it by a factor of chain + 1).
+            # most halve the gap a formula distinguishes, a run of
+            # successors widens it by a factor of run + 1).
             params = [env[name] for name in _free_in(f, memo)]
-            ceiling = max([prof.max_num, *params]) if params else prof.max_num
-            bound = ceiling + (prof.max_chain + 1) * (1 << (prof.qdepth + 1)) + 1
+            ceiling = max([max_num, *params]) if params else max_num
+            bound = ceiling + (max_run + 1) * (1 << (depth + 1)) + 1
         scoped = dict(env)
         saw_unknown = False
         for value in range(bound + 1):
@@ -849,7 +798,7 @@ def _ev(f: Formula, env: dict[str, int], budget: int, memo: dict):
                 return False
             if r is None:
                 saw_unknown = True
-        if prof.impure or saw_unknown:
+        if impure or saw_unknown:
             return None
         return not exist
     raise TypeError(f"not a formula: {f!r}")

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .codec import (decimal_to_nat, decode_program_code, nat_to_decimal,
-                    pair, program_code, unpair)
+from .codec import (decimal_to_nat, decode_program_code, in_pair_range,
+                    nat_to_decimal, pair, program_code, unpair)
 
 __all__ = [
     "TplSyntaxError", "TemplateError", "TplProgram", "Machine",
@@ -606,7 +606,7 @@ _BUILTINS = {
     "pairN": ((int, int), lambda m, a, b: pair(a, b)),
     "unpairL": ((int,), lambda m, p: _unpair("unpairL", p)[0]),
     "unpairR": ((int,), lambda m, p: _unpair("unpairR", p)[1]),
-    "inrange": ((int,), lambda m, p: 1 if unpair(p) is not None else 0),
+    "inrange": ((int,), lambda m, p: 1 if in_pair_range(p) else 0),
     "taub": ((int, int, int), Machine._taub),
     "runout": ((int, int, int), Machine._runout),
     "checkproof": ((int, int, int), Machine._checkproof),

@@ -6,16 +6,20 @@ paper from the standard order of the naturals before the eliminator ran.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from conftest import random_order_sentences
 
 from taulab.codec import pair, program_code
 from taulab.fol import (
-    Eq, Forall, Formula, Iff, Less, Not, Num, Or, Tau, Var,
+    Eq, Exists, Forall, Formula, Iff, Less, Not, Num, Or, Pi, Tau, Var,
     FreeVariableError, conjoin_left, disjoin_right, format_formula,
-    parse_formula, parse_sentence, substitute,
+    parse_formula, parse_sentence, substitute, walk,
 )
 from taulab.theories import (
     FALSE_IN_STD, FALSUM, ORDER_AXIOMS, PADDING, TRUE_IN_STD,
@@ -25,6 +29,7 @@ from taulab.theories import (
     order_truth, segment_axiom, segment_axiom_index, tau_atom, theory_S,
     theory_T, theory_by_name, unknown,
 )
+from taulab.theories import _qe, _to_internal
 from taulab.tpl import Machine, output_code, parse_program, template_source
 
 HALTER = program_code("halt;")
@@ -423,3 +428,84 @@ def test_eval_exact_on_doubling_gap_sentences():
     assert eval_std(too_tight, budget=0) == FALSE_IN_STD
     assert decide_order_theory(just_enough) == TRUE_IN_STD
     assert decide_order_theory(too_tight) == FALSE_IN_STD
+
+
+def test_eval_std_of_a_deep_segment_axiom_at_the_default_recursion_limit():
+    # the quantifier profile walks a body with an explicit stack
+    script = "\n".join([
+        "import sys",
+        "import taulab",
+        "sys.setrecursionlimit(1000)",
+        "from taulab.theories import TRUE_IN_STD, eval_std, segment_axiom",
+        "assert eval_std(segment_axiom(1200)) == TRUE_IN_STD",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+# --------------------------------------------------------------------------
+# frozen digests of the eliminator's residues and the evaluator's verdicts,
+# so that a rewrite of either keeps every internal form it builds
+
+def _outermost_body(f: Formula):
+    """The body of f's first quantifier in preorder, its variable named "x"
+    inside, or f itself when f has no quantifier."""
+    q = next((n for n in walk(f) if isinstance(n, (Forall, Exists))), None)
+    return (f, {}) if q is None else (q.body, {q.var: "x"})
+
+
+def test_frozen_eliminator_residues():
+    h = hashlib.sha256()
+    open_bodies = 0
+    for sentence in random_order_sentences(2000, seed=20261018):
+        body, names = _outermost_body(sentence)
+        open_bodies += bool(names)
+        for positive in (True, False):
+            fresh = (f"v{i}" for i in itertools.count())
+            h.update(repr(_qe(_to_internal(body, positive, names, fresh))).encode())
+        h.update(b"T" if order_truth(sentence) else b"F")
+    assert (open_bodies, h.hexdigest()[:16]) == (1158, "3f1baa2b5676cc65")
+
+
+def _with_records(f: Formula, rng: random.Random, scope: list[str]) -> Formula:
+    """f with some atoms swapped for a tau record or a pairing equation over
+    the bound variables in scope."""
+    kind = type(f)
+    if kind is Less or kind is Eq:
+        roll = rng.random()
+        terms = [Var(name) for name in scope] + [Num(rng.randrange(4))]
+        if roll < 0.5:
+            return f
+        if roll < 0.75:
+            return Tau(Num(rng.choice((HALTER, LOOPER))), rng.choice(terms), rng.choice(terms))
+        return Eq(Pi(rng.choice(terms), rng.choice(terms)), rng.choice(terms))
+    if kind is Forall or kind is Exists:
+        return kind(f.var, _with_records(f.body, rng, scope + [f.var]))
+    if kind is Not:
+        return Not(_with_records(f.inner, rng, scope))
+    return kind(_with_records(f.left, rng, scope), _with_records(f.right, rng, scope))
+
+
+_HAND_MADE_IMPURE = (
+    f"E z. tau(#{HALTER}, 0, z)",
+    f"E z. tau(#{LOOPER}, 0, z)",
+    f"A z. ~tau(#{HALTER}, 0, z)",
+    f"A x. (x < #3 -> E z. tau(#{HALTER}, x, z))",
+    f"A x. E y. (x < y & (tau(#{LOOPER}, x, y) | s(x) = y))",
+    "E x. pi(x, x) = #18",
+    "E x. pi(x, x) = #12",
+    "A x. A y. (pi(x, y) = pi(y, x) -> x = y)",
+    "E x. E y. (pi(x, s(y)) = #13 & x < y)",
+    f"A x. (pi(x, 0) = #6 <-> ~tau(#{HALTER}, x, pi(0, x)))",
+)
+
+
+def test_frozen_eval_verdicts():
+    rng = random.Random(20261019)
+    sentences = [parse_sentence(text) for text in _HAND_MADE_IMPURE]
+    for i, f in enumerate(random_order_sentences(600, seed=20261019)):
+        sentences.append(_with_records(f, rng, []) if i % 2 else f)
+    verdicts = [str(eval_std(f, budget=6)) for f in sentences]
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()[:16]
+    kinds = tuple(sum(v.startswith(k) for v in verdicts) for k in ("true", "false", "unknown"))
+    assert (kinds, digest) == ((235, 326, 49), "229a841a7a08c278")
