@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import sys
 
-# Deep right-nested disjunctions (large finite-segment axioms) exceed the
-# default recursion limit in a few remaining recursive paths; the hot walks
-# (equality, hashing, printing, parsing, variable scans) are iterative.
+# The parsers and the hot walks keep their own stacks.  The raised limit still
+# carries the walks that recurse once per nesting level: substitute, printing
+# of left-nested chains, theories._to_internal and _ev, and Machine._eval.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 

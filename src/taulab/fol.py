@@ -21,9 +21,9 @@ associative; quantifier scope extends as far as possible.  ``t <= u`` and
 quantifiers expand to ``A x. (x < t -> f)`` and ``E x. (x < t & f)``.  All
 sugar disappears at parse time and the printer never reintroduces it.
 
-Equality, hashing, printing, parsing and variable scans are iterative on
-the deep spines (long right-nested disjunction chains occur in generated
-axioms), so they stay safe at depths far beyond the interpreter stack.
+Equality, hashing, printing and variable scans are iterative on the deep
+spines (long right-nested disjunction chains occur in generated axioms),
+and parsing at every depth, so they stay safe far beyond Python's stack.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from ._syntax import Cursor, PositionedError, then, tokenize
 from .codec import decimal_to_nat, nat_to_decimal
 
 __all__ = [
@@ -50,11 +51,8 @@ class FolError(ValueError):
     """Base class for syntax-level errors."""
 
 
-class FolSyntaxError(FolError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
+class FolSyntaxError(FolError, PositionedError):
+    pass
 
 
 class FreeVariableError(FolError):
@@ -440,219 +438,159 @@ def format_formula(f: Formula) -> str:
 # --------------------------------------------------------------------------
 # parsing
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-
 # The digits of a numeral are ASCII only; other characters that
 # str.isdigit accepts (such as the latin-1 superscripts) end the numeral.
 # A bare digit run is still scanned with str.isdigit, so that its error
 # message names the whole run.
 _DIGITS = re.compile(r"[0-9]*")
 
-# the symbols that start with '<' or '-'; every other symbol is one
-# character, and a symbol token's kind is its text
+# the symbols that start with '<' or '-'; every other symbol is one of the
+# one-character _SYMBOLS, and a symbol token's kind is its text
 _ANGLED = re.compile(r"<->|<=|<|->")
+_SYMBOLS = "(),.~&|=>"
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i - line_start + 1
-        if ch in "(),.~&|=>":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            continue
-        if ch in "<-":
-            m = _ANGLED.match(text, i)
-            if m is None:
-                raise FolSyntaxError("stray '-' (did you mean '->')", line, col)
-            tokens.append(_Token(m[0], m[0], line, col))
-            i = m.end()
-            continue
-        if ch == "#":
-            j = _DIGITS.match(text, i + 1).end()
-            if j == i + 1:
-                raise FolSyntaxError("'#' must be followed by digits", line, col)
-            tokens.append(_Token("NUM", decimal_to_nat(text[i + 1:j]), line, col))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if text[i:j] != "0":
-                raise FolSyntaxError(
-                    f"bare number {text[i:j]!r}; numerals other than 0 are written #<digits>",
-                    line, col)
-            tokens.append(_Token("NUM", 0, line, col))
-            i = j
-            continue
-        if ch in ("A", "E"):
-            nxt = text[i + 1] if i + 1 < n else ""
-            if not (nxt.islower() or nxt.isdigit() or nxt == "_"):
-                tokens.append(_Token("QUANT", ch, line, col))
-                i += 1
-                continue
-            raise FolSyntaxError(f"unexpected character {ch!r}", line, col)
+def _scan(text: str, i: int, ch: str, line: int, col: int):
+    if ch in "<-":
+        m = _ANGLED.match(text, i)
+        if m is None:
+            raise FolSyntaxError("stray '-' (did you mean '->')", line, col)
+        return m[0], m[0], m.end()
+    if ch == "#":
+        j = _DIGITS.match(text, i + 1).end()
+        if j == i + 1:
+            raise FolSyntaxError("'#' must be followed by digits", line, col)
+        return "NUM", decimal_to_nat(text[i + 1:j]), j
+    j = i + 1
+    if ch.isdigit():
+        while j < len(text) and text[j].isdigit():
+            j += 1
+        if text[i:j] != "0":
+            raise FolSyntaxError(
+                f"bare number {text[i:j]!r}; numerals other than 0 are written #<digits>",
+                line, col)
+        return "NUM", 0, j
+    if ch.islower() or ch in "AE":  # a name, or a quantifier letter standing alone
+        while j < len(text) and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
+            j += 1
         if ch.islower():
-            j = i
-            while j < n and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            i = j
-            continue
-        raise FolSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", None, line, n - line_start + 1))
-    return tokens
+            return "IDENT", text[i:j], j
+        if j == i + 1:
+            return "QUANT", ch, j
+    raise FolSyntaxError(f"unexpected character {ch!r}", line, col)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# infix token kind -> (precedence, associativity, node), for Cursor.expression
+_LEVELS = {sym: (prec, "right", cls) for prec, (sym, cls) in enumerate(_CONNECTIVES)}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+class _Parser(Cursor):
+    """Formulas are expressions over _LEVELS and ``operand``, terms over {} and ``term``."""
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what or repr(kind)}, found {tok.value!r}")
-        return self.next()
+    error = FolSyntaxError
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise FolSyntaxError(message, tok.line, tok.column)
-
-    # formulas, loosest connective first; chains are collected iteratively
-    # and folded to the right, so "a | b | c" is Or(a, Or(b, c)).
-
-    def formula(self, depth: int = 0) -> Formula:
-        if depth == len(_CONNECTIVES):
-            return self.negation()
-        sym, cls = _CONNECTIVES[depth]
-        parts = [self.formula(depth + 1)]
-        while self.peek().kind == sym:
-            self.next()
-            parts.append(self.formula(depth + 1))
-        acc = parts[-1]
-        for part in parts[-2::-1]:
-            acc = cls(part, acc)
-        return acc
-
-    def negation(self) -> Formula:
+    def operand(self):
+        """An atom, a parenthesized formula or a quantified one, after a run
+        of ~ that is counted, not recursed."""
         start = self.pos
-        while self.peek().kind == "~":
+        while self.tokens[self.pos].kind == "~":
             self.pos += 1
         run = self.pos - start
-        kind = self.peek().kind
+        kind = self.tokens[self.pos].kind
         if kind == "QUANT":
-            f = self.quantified()
+            got = self.binders([])
         elif kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-        else:
-            f = self.atom()
-        for _ in range(run):
-            f = Not(f)
-        return f
+            self.pos += 1
+            got = self.close, _LEVELS, self.operand
+        else:  # then() written out here and in relation: atoms are most of a parse
+            left = self.term(_APPLIED)
+            got = then(left, self.relation) if type(left) is tuple else self.relation(left)
+        if not run:
+            return got
 
-    def quantified(self) -> Formula:
-        binders: list[tuple[type, str, Term | None]] = []
-        while self.peek().kind == "QUANT":
-            tok = self.next()
-            cls = Forall if tok.value == "A" else Exists
-            name_tok = self.expect("IDENT", "variable name")
-            name = name_tok.value
-            if name in _APPLIED:
-                self.fail(f"{name!r} is reserved and cannot be a variable", name_tok)
-            bound = None
-            if self.peek().kind == "<":
-                self.next()
-                bound = self.term()
+        def negate(f):
+            for _ in range(run):
+                f = Not(f)
+            return f
+        return then(got, negate)
+
+    def binders(self, binders: list, bounded=None):
+        """Quantifier prefixes, then their body; ``bounded`` is a binder
+        whose bound term was just read.  The sugar is expanded here."""
+        if bounded:
             self.expect(".")
-            binders.append((cls, name, bound))
-        body = self.formula()
-        for cls, name, bound in reversed(binders):
-            if bound is None:
-                body = cls(name, body)
-            elif cls is Forall:
-                body = Forall(name, Imp(Less(Var(name), bound), body))
-            else:
-                body = Exists(name, And(Less(Var(name), bound), body))
-        return body
+            binders.append(bounded)
+        while self.peek().kind == "QUANT":
+            cls = Forall if self.next().value == "A" else Exists
+            tok = self.expect("IDENT", "variable name")
+            name = tok.value
+            if name in _APPLIED:
+                self.fail(f"{name!r} is reserved and cannot be a variable", tok)
+            if self.peek().kind == "<":
+                self.pos += 1
+                return (lambda bound: self.binders(binders, (cls, name, bound))), {}, self.term
+            self.expect(".")
+            binders.append((cls, name, None))
 
-    def atom(self) -> Formula:
-        left = self.term(_APPLIED)
+        def bind(body):
+            for cls, name, bound in reversed(binders):
+                if bound is not None:
+                    body = (Imp if cls is Forall else And)(Less(Var(name), bound), body)
+                body = cls(name, body)
+            return body
+        return bind, _LEVELS, self.operand
+
+    def relation(self, left: Term):
+        """The atom whose left term is ``left``; a tau atom is whole."""
         if isinstance(left, Tau):
             return left
         relation = _RELATIONS.get(self.peek().kind)
         if relation is None:
             self.fail(f"expected a relation ({', '.join(_RELATIONS)}) after a term")
-        self.next()
-        return relation(left, self.term())
+        self.pos += 1
+        right = self.term()
+        if type(right) is tuple:
+            return then(right, lambda right: relation(left, right))
+        return relation(left, right)
 
-    def term(self, heads=("s", "pi")) -> Term:
-        """A term; ``heads`` are the applied names accepted at the top (the
-        arguments are terms again, one call of this method per level)."""
-        tok = self.peek()
+    def term(self, heads=("s", "pi")):
+        """A term, or an opener for the arguments of an applied name;
+        ``heads`` are the applied names accepted here."""
+        tok = self.next()
         if tok.kind == "NUM":
-            self.next()
             return Num(tok.value)
         if tok.kind != "IDENT":
-            self.fail("expected a term")
+            self.fail("expected a term", tok)
         name = tok.value
         if name not in _APPLIED:
-            self.next()
             return Var(name)
-        if name not in heads or self.tokens[self.pos + 1].kind != "(":
-            self.fail(f"{name!r} is reserved and cannot be a variable")
+        if name not in heads or self.tokens[self.pos].kind != "(":
+            self.fail(f"{name!r} is reserved and cannot be a variable", tok)
+        self.pos += 1
         build, arity = _APPLIED[name]
-        self.pos += 2
-        args = [self.term()]
-        while len(args) < arity:
-            self.expect(",")
-            args.append(self.term())
-        self.expect(")")
-        return build(*args)
+        args: list[Term] = []
+
+        def resume(arg):
+            args.append(arg)
+            if len(args) < arity:
+                self.expect(",")
+                return opener
+            self.expect(")")
+            return build(*args)
+        opener = resume, {}, self.term
+        return opener
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(text)
-    t = parser.term()
+    parser = _Parser(tokenize(text, _scan, _SYMBOLS))
+    t = parser.expression({}, parser.term)
     parser.expect("EOF", "end of input")
     return t
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    f = parser.formula()
+    parser = _Parser(tokenize(text, _scan, _SYMBOLS))
+    f = parser.expression(_LEVELS, parser.operand)
     parser.expect("EOF", "end of input")
     return f
 

@@ -62,6 +62,7 @@ from .fol import (
     conjoin_left,
     free_vars,
     parse_sentence,
+    walk,
 )
 from .tpl import tau, template_source
 
@@ -392,10 +393,13 @@ def _to_internal(f: Formula, positive: bool, names: dict[str, object], fresh) ->
                  _to_internal(f.right, positive, names, fresh))
         return _junction(tag if positive else _DUAL[tag], parts)
     if kind is Iff:
-        pl = _to_internal(f.left, True, names, fresh)
-        nl = _to_internal(f.left, False, names, fresh)
-        pr = _to_internal(f.right, True, names, fresh)
-        nr = _to_internal(f.right, False, names, fresh)
+        # only a side with quantifiers is translated twice (fresh names in order)
+        sides = []
+        for side in (f.left, f.right):
+            p = _to_internal(side, True, names, fresh)
+            quantified = any(isinstance(n, (Forall, Exists)) for n in walk(side))
+            sides += p, _to_internal(side, False, names, fresh) if quantified else _neg_qf(p)
+        pl, nl, pr, nr = sides
         if positive:
             return _junction("and", (_junction("or", (nl, pr)), _junction("or", (nr, pl))))
         return _junction("or", (_junction("and", (pl, nr)), _junction("and", (pr, nl))))

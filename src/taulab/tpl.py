@@ -44,9 +44,10 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
+from ._syntax import Cursor, PositionedError, tokenize
 from .codec import (decimal_to_nat, decode_program_code, in_pair_range,
                     nat_to_decimal, pair, program_code, unpair)
 
@@ -57,11 +58,8 @@ __all__ = [
 ]
 
 
-class TplSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
+class TplSyntaxError(PositionedError):
+    pass
 
 
 class TemplateError(ValueError):
@@ -145,221 +143,142 @@ _KEYWORDS = {"if", "else", "while", "halt"}
 # --------------------------------------------------------------------------
 # lexer / parser
 
-_PUNCT2 = ("==", "<=")
-_PUNCT1 = "=<+-*/%(){},;"
+# A symbol token's kind is its text.  "=" and "<" may start a two-character
+# symbol ("==", "<="), so the scanner reads them; tokenize reads the rest.
+_SYMBOLS = "+-*/%(){},;"
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-
-
-class _Tok:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
 
 
 # Numerals are ASCII digits only; other characters that str.isdigit accepts
 # (such as the latin-1 superscripts) are not numerals and fail to lex.
 _DIGITS = re.compile(r"[0-9]+")
+# \w is exactly str.isalnum or "_", the characters that continue a name
+_WORD = re.compile(r"\w*")
 # The characters of a string literal that stand for themselves; a spliced
 # axiom text runs to ~100 KB of them.
 _STRING_RUN = re.compile(r'[^"\\\n]*')
 
 
-def _lex(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    i, n = 0, len(text)
-    line, line_start = 1, 0
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i - line_start + 1
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i:i + 2] in _PUNCT2:
-            tokens.append(_Tok(text[i:i + 2], text[i:i + 2], line, col))
-            i += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(_Tok(ch, ch, line, col))
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = _DIGITS.match(text, i).end()
-            tokens.append(_Tok("NUMBER", decimal_to_nat(text[i:j]), line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Tok("IDENT", text[i:j], line, col))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            chars: list[str] = []
-            while True:
-                k = _STRING_RUN.match(text, j).end()
-                chars.append(text[j:k])
-                j = k
-                if j >= n or text[j] == "\n":
-                    raise TplSyntaxError("unterminated string literal", line, col)
-                if text[j] == '"':
-                    j += 1
-                    break
-                esc = text[j + 1] if j + 1 < n else ""  # text[j] is a backslash
-                if esc not in _ESCAPES:
-                    raise TplSyntaxError(f"bad escape \\{esc}", line, col)
-                chars.append(_ESCAPES[esc])
-                j += 2
-            tokens.append(_Tok("STRING", "".join(chars), line, col))
-            i = j
-            continue
+def _scan(text: str, i: int, ch: str, line: int, col: int):
+    if ch == "#":  # a comment, up to the newline
+        j = text.find("\n", i)
+        return None, None, len(text) if j < 0 else j
+    if ch in "=<":
+        two = text[i:i + 2]
+        return (two, two, i + 2) if two in ("==", "<=") else (ch, ch, i + 1)
+    if "0" <= ch <= "9":
+        j = _DIGITS.match(text, i).end()
+        return "NUMBER", decimal_to_nat(text[i:j]), j
+    if ch.isalpha() or ch == "_":
+        j = _WORD.match(text, i).end()
+        return "IDENT", text[i:j], j
+    if ch != '"':
         raise TplSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Tok("EOF", None, line, n - line_start + 1))
-    return tokens
+    j = i + 1
+    chars: list[str] = []
+    while True:
+        k = _STRING_RUN.match(text, j).end()
+        chars.append(text[j:k])
+        j = k
+        if j >= len(text) or text[j] == "\n":
+            raise TplSyntaxError("unterminated string literal", line, col)
+        if text[j] == '"':
+            return "STRING", "".join(chars), j + 1
+        esc = text[j + 1:j + 2]  # text[j] is a backslash
+        if esc not in _ESCAPES:
+            raise TplSyntaxError(f"bad escape \\{esc}", line, col)
+        chars.append(_ESCAPES[esc])
+        j += 2
 
 
-class _TplParser:
-    def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.pos = 0
+_lex = partial(tokenize, scan=_scan, symbols=_SYMBOLS)
 
-    def peek(self) -> _Tok:
-        return self.tokens[self.pos]
 
-    def next(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+# the infix operators, loosest level first, with their associativity
+_INFIX = ((("<", "<=", "=="), "none"), (("+", "-"), "left"), (("*", "/", "%"), "left"))
+# infix token kind -> (precedence, associativity, node), for Cursor.expression
+_LEVELS = {op: (prec, assoc, partial(BinOp, op))
+           for prec, (ops, assoc) in enumerate(_INFIX) for op in ops}
 
-    def expect(self, kind: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise TplSyntaxError(f"expected {kind!r}, found {tok.value!r}",
-                                 tok.line, tok.column)
-        return self.next()
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise TplSyntaxError(message, tok.line, tok.column)
+class _TplParser(Cursor):
+    error = TplSyntaxError
 
     def program(self) -> tuple:
-        stmts = []
-        while self.peek().kind != "EOF":
-            stmts.append(self.statement())
-        return tuple(stmts)
+        """The statements up to EOF.  Each open block waits on a stack with
+        the statement list it sits in and its header: the keyword, the
+        condition and, for an else block, the then block."""
+        stmts, blocks = [], []
+        while True:
+            tok = self.next()
+            header = None
+            if tok.kind == "}" and blocks:
+                body = tuple(stmts)
+                stmts, word, cond, then_block = blocks.pop()
+                if word == "if" and (self.peek().kind, self.peek().value) == ("IDENT", "else"):
+                    self.pos += 1
+                    header = "else", cond, body
+                elif word == "while":
+                    stmts.append(_recognise(While(cond, body)))
+                elif word == "if":
+                    stmts.append(If(cond, body, ()))
+                else:
+                    stmts.append(If(cond, then_block, body))
+            elif tok.kind == "EOF":
+                if blocks:
+                    self.fail("unterminated block", tok)
+                return tuple(stmts)
+            elif tok.kind != "IDENT":
+                self.fail("expected a statement", tok)
+            elif tok.value == "halt":
+                stmts.append(Halt())
+                self.expect(";")
+            elif tok.value == "if" or tok.value == "while":
+                self.expect("(")
+                header = tok.value, self.expression(_LEVELS, self.operand), None
+                self.expect(")")
+            elif tok.value in _KEYWORDS or tok.value in _BUILTINS:
+                self.fail(f"{tok.value!r} cannot be assigned", tok)
+            else:
+                self.expect("=")
+                stmts.append(Assign(tok.value, self.expression(_LEVELS, self.operand)))
+                self.expect(";")
+            if header:
+                self.expect("{")
+                blocks.append((stmts, *header))
+                stmts = []
 
-    def block(self) -> tuple:
-        self.expect("{")
-        stmts = []
-        while self.peek().kind != "}":
-            if self.peek().kind == "EOF":
-                self.fail("unterminated block")
-            stmts.append(self.statement())
-        self.next()
-        return tuple(stmts)
-
-    def statement(self):
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            self.fail("expected a statement")
-        word = tok.value
-        if word == "halt":
-            self.next()
-            self.expect(";")
-            return Halt()
-        if word == "if":
-            self.next()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            then = self.block()
-            other: tuple = ()
-            if self.peek().kind == "IDENT" and self.peek().value == "else":
-                self.next()
-                other = self.block()
-            return If(cond, then, other)
-        if word == "while":
-            self.next()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            return _recognise(While(cond, self.block()))
-        if word in _KEYWORDS or word in _BUILTINS:
-            self.fail(f"{word!r} cannot be assigned")
-        self.next()
-        self.expect("=")
-        value = self.expr()
-        self.expect(";")
-        return Assign(word, value)
-
-    def expr(self):
-        left = self.sum()
-        if self.peek().kind in ("<", "<=", "=="):
-            op = self.next().kind
-            return BinOp(op, left, self.sum())
-        return left
-
-    def sum(self):
-        node = self.prod()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            node = BinOp(op, node, self.prod())
-        return node
-
-    def prod(self):
-        node = self.unit()
-        while self.peek().kind in ("*", "/", "%"):
-            op = self.next().kind
-            node = BinOp(op, node, self.unit())
-        return node
-
-    def unit(self):
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.next()
-            return Lit(tok.value)
-        if tok.kind == "STRING":
-            self.next()
+    def operand(self):
+        """A literal or a name, or an opener for a parenthesized expression
+        or the arguments of a builtin call."""
+        tok = self.next()
+        if tok.kind == "NUMBER" or tok.kind == "STRING":
             return Lit(tok.value)
         if tok.kind == "(":
-            self.next()
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok.kind == "IDENT":
-            name = tok.value
-            if name in _KEYWORDS:
-                self.fail(f"{name!r} is a keyword, not a value")
-            self.next()
-            if name in _BUILTINS:
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect(")")
-                arity = len(_BUILTINS[name][0])
-                if len(args) != arity:
-                    raise TplSyntaxError(f"{name} takes {arity} arguments, got {len(args)}",
-                                         tok.line, tok.column)
-                return Call(name, tuple(args))
+            return self.close, _LEVELS, self.operand
+        name = tok.value
+        if tok.kind != "IDENT":
+            self.fail("expected an expression", tok)
+        if name in _KEYWORDS:
+            self.fail(f"{name!r} is a keyword, not a value", tok)
+        if name not in _BUILTINS:
             return Name(name)
-        self.fail("expected an expression")
+        self.expect("(")
+        args: list = []
+
+        def resume(arg):
+            args.append(arg)
+            if self.peek().kind == ",":
+                self.pos += 1
+                return opener
+            self.expect(")")
+            arity = len(_BUILTINS[name][0])
+            if len(args) != arity:
+                self.fail(f"{name} takes {arity} arguments, got {len(args)}", tok)
+            return Call(name, tuple(args))
+        opener = resume, _LEVELS, self.operand
+        return opener
 
 
 def _digit_loop_shape(v: str, d: str) -> While:
@@ -384,7 +303,7 @@ def _recognise(loop: While):
 
 
 def parse_program(text: str) -> TplProgram:
-    return TplProgram(source=text, body=_TplParser(text).program())
+    return TplProgram(source=text, body=_TplParser(_lex(text)).program())
 
 
 # --------------------------------------------------------------------------

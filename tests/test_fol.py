@@ -366,9 +366,10 @@ def test_deep_quantifier_prefix_round_trips():
     assert parse_formula(text) == f
 
 
-# Recursive paths: these depths, about half of what parses today, work only
-# because importing taulab raises the recursion limit (each raises
-# RecursionError at Python's default limit).
+# Deep inputs.  The parser keeps its own stacks, so parsing alone works at
+# any depth; the printing of a left-nested chain still recurses, and that
+# round trip works only because importing taulab raises the recursion limit
+# (it raises RecursionError at Python's default limit).
 
 def test_deeply_parenthesized_formula_parses():
     assert parse_formula("(" * 1500 + "0 = 0" + ")" * 1500) == Eq(Num(0), Num(0))
@@ -389,7 +390,6 @@ def test_long_left_nested_conjunction_round_trips():
 
 
 def test_deep_successor_nesting_parses():
-    # the term parser spends one frame per nesting level
     text = "s(" * 10_000 + "x" + ")" * 10_000
     assert parse_formula(text + " = 0") == Eq(succ(x, 10_000), Num(0))
 
@@ -405,6 +405,28 @@ def test_negation_runs_round_trip_at_the_default_recursion_limit():
         "text = format_formula(f)",
         "assert text == '~' * 30000 + '(0 = 0)', text[-20:]",
         "assert parse_formula(text) == f",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_deep_nesting_parses_at_the_default_recursion_limit():
+    # parentheses, argument lists and bounded quantifier prefixes open
+    # frames on the parser's own stack, not Python's
+    script = "\n".join([
+        "import sys",
+        "import taulab",
+        "sys.setrecursionlimit(1000)",
+        "from taulab.fol import Eq, Forall, Num, Succ, Var, parse_formula",
+        "f = parse_formula('s(' * 50000 + 'x' + ')' * 50000 + ' = 0')",
+        "t, depth = f.left, 0",
+        "while isinstance(t, Succ): t, depth = t.inner, depth + 1",
+        "assert (depth, t, f.right) == (50000, Var('x'), Num(0)), depth",
+        "assert parse_formula('(' * 6000 + '0 = 0' + ')' * 6000) == Eq(Num(0), Num(0))",
+        "f = parse_formula('A x < s(s(y)). ' * 3000 + 'x = 0')",
+        "depth = 0",
+        "while isinstance(f, Forall): f, depth = f.body.right, depth + 1",
+        "assert (depth, f) == (3000, Eq(Var('x'), Num(0))), depth",
     ])
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr[-2000:]

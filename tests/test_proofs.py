@@ -7,6 +7,8 @@ by hand from the pairing polynomial before the encoder existed.
 
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -327,6 +329,22 @@ def test_code_to_proof_on_junk_is_none_or_a_proof():
     for n in range(2000):
         decoded = code_to_proof(n)  # must never raise
         assert decoded is None or isinstance(decoded, Proof)
+
+
+def test_code_to_proof_of_deep_parentheses_at_the_default_recursion_limit():
+    # the formula parser keeps its own stack, so a logical-axiom step with
+    # 6 000 nested parentheses decodes at Python's default recursion limit
+    script = "\n".join([
+        "import sys",
+        "import taulab",
+        "sys.setrecursionlimit(1000)",
+        "from taulab.codec import pair, program_code",
+        "from taulab.proofs import Proof, code_to_proof",
+        "text = '(' * 6000 + '0 = 0' + ')' * 6000",
+        "assert isinstance(code_to_proof(pair(1, pair(0, pair(0, program_code(text))))), Proof)",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 def test_code_to_proof_on_non_ascii_digits_is_none():

@@ -467,6 +467,24 @@ def test_frozen_eliminator_residues():
     assert (open_bodies, h.hexdigest()[:16]) == (1158, "3f1baa2b5676cc65")
 
 
+@pytest.mark.parametrize("n", [2, 8, 16, 30])
+def test_iff_chain_translation_is_linear(monkeypatch, n):
+    # a quantifier-free side of <-> is negated as translated, not translated
+    # again, so the n-atom chain costs 2n - 1 calls, not 2^(n+1) - 3
+    import taulab.theories as theories
+    calls = 0
+    translate = theories._to_internal
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls < 2 * n, "the translation is not linear"  # stop an exponential run early
+        return translate(*args)
+    monkeypatch.setattr(theories, "_to_internal", counted)
+    assert order_truth(parse_sentence(" <-> ".join(["0 < #1"] * n))) is True
+    assert calls == 2 * n - 1
+
+
 def _with_records(f: Formula, rng: random.Random, scope: list[str]) -> Formula:
     """f with some atoms swapped for a tau record or a pairing equation over
     the bound variables in scope."""

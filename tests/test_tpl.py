@@ -6,6 +6,7 @@ inner consumption) and frozen here as literals.
 """
 
 import hashlib
+import random
 import re
 import subprocess
 import sys
@@ -93,6 +94,143 @@ def test_string_literal_error_texts(text, message):
     with pytest.raises(TplSyntaxError) as info:
         parse_program(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # a missing ';', ')', '(', '{' and '='
+    ("x = 1", "expected ';', found None (line 1, column 6)"),
+    ("halt", "expected ';', found None (line 1, column 5)"),
+    ("x = (1;", "expected ')', found ';' (line 1, column 7)"),
+    ('x = len("a";', "expected ')', found ';' (line 1, column 12)"),
+    ("x = concat(1 2);", "expected ')', found 2 (line 1, column 14)"),
+    ("while (1 { }", "expected ')', found '{' (line 1, column 10)"),
+    ("if 1) { }", "expected '(', found 1 (line 1, column 4)"),
+    ("if = 3;", "expected '(', found '=' (line 1, column 4)"),
+    ("if (1) halt;", "expected '{', found 'halt' (line 1, column 8)"),
+    ("while (1) x = 1;", "expected '{', found 'x' (line 1, column 11)"),
+    ("x 1;", "expected '=', found 1 (line 1, column 3)"),
+    # statements and blocks
+    ("1 = x;", "expected a statement (line 1, column 1)"),
+    ("}", "expected a statement (line 1, column 1)"),
+    ("x = 1; }", "expected a statement (line 1, column 8)"),
+    ("if (1) {", "unterminated block (line 1, column 9)"),
+    ("while (1) { x = 1;", "unterminated block (line 1, column 19)"),
+    ("if (1) { while (1) { } ", "unterminated block (line 1, column 24)"),
+    ("len = 3;", "'len' cannot be assigned (line 1, column 1)"),
+    ("else = 1;", "'else' cannot be assigned (line 1, column 1)"),
+    ("halt = 1;", "expected ';', found '=' (line 1, column 6)"),
+    # expressions
+    ("x = while;", "'while' is a keyword, not a value (line 1, column 5)"),
+    ("x = halt;", "'halt' is a keyword, not a value (line 1, column 5)"),
+    ("x = 1 +;", "expected an expression (line 1, column 8)"),
+    ("x = ;", "expected an expression (line 1, column 5)"),
+    ("x = len();", "expected an expression (line 1, column 9)"),
+    ("x = concat(1, );", "expected an expression (line 1, column 15)"),
+    ("x = foo(1);", "expected ';', found '(' (line 1, column 8)"),
+    ('x = concat("a");', "concat takes 2 arguments, got 1 (line 1, column 5)"),
+    ('x = len("a", "b");', "len takes 1 arguments, got 2 (line 1, column 5)"),
+    ('x = len(concat("a"), 1);', "concat takes 2 arguments, got 1 (line 1, column 9)"),
+    # comparisons do not chain
+    ("x = 1 < 2 < 3;", "expected ';', found '<' (line 1, column 11)"),
+    ("x = 1 == 2 == 3;", "expected ';', found '==' (line 1, column 12)"),
+    ("x = 1 + 2 < 3 * 4 <= 5;", "expected ';', found '<=' (line 1, column 19)"),
+    ("if (1 < 2 < 3) { }", "expected ')', found '<' (line 1, column 11)"),
+    # an else without a block
+    ("if (1) { } else halt;", "expected '{', found 'halt' (line 1, column 17)"),
+    ("if (1) { } else", "expected '{', found None (line 1, column 16)"),
+    # lines are counted and columns restart after each newline
+    ("x = 1\ny = 2;", "expected ';', found 'y' (line 2, column 1)"),
+    ("\n  x = 1 + # a comment\n  ;", "expected an expression (line 3, column 3)"),
+])
+def test_syntax_error_texts(text, message):
+    with pytest.raises(TplSyntaxError) as info:
+        parse_program(text)
+    assert str(info.value) == message
+    line, column = map(int, re.search(r"line (\d+), column (\d+)\)$", message).groups())
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+# a frozen corpus: random texts from grammar pieces, and random programs
+# with none, one or two token edits.  Each text's outcome (its tree, or its
+# error with line and column) goes into one digest.
+
+_PIECES = ("x", "y", "in", "out", "0", "7", "12", '"a"', '""', "len", "concat", "substr",
+           "foo", "if", "else", "while", "halt", "(", ")", "{", "}", ",", ";", "=", "==",
+           "<", "<=", "+", "-", "*", "/", "%", "$", "\xb2", "\n", "# c\n")
+_SWAPS = {"<": ("<=", "=="), "<=": ("<", "=="), "==": ("<", "<="), "+": ("-", "*"),
+          "-": ("+", "/"), "*": ("/", "%"), "/": ("*", "%"), "%": ("+", "*"),
+          "x": ("y", "7"), "y": ("x", '"a"'), "if": ("while",), "while": ("if",)}
+_SEPARATORS = (" ",) * 8 + ("", "\n")
+_TOKEN = re.compile(r'"[^"]*"|==|<=|\w+|\S')
+_CALLS = {"len": 1, "concat": 2, "substr": 3, "pairN": 2, "unpairL": 1}
+
+
+def _corpus_expr(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        return rng.choice(("x", "y", "in", "0", "7", "12", '"a"', '""'))
+    if roll < 0.5:
+        return "( " + _corpus_expr(rng, depth - 1) + " )"
+    if roll < 0.65:
+        name = rng.choice(list(_CALLS))
+        args = " , ".join(_corpus_expr(rng, depth - 1) for _ in range(_CALLS[name]))
+        return f"{name} ( {args} )"
+    op = rng.choice(("+", "-", "*", "/", "%", "<", "<=", "=="))
+    return f"{_corpus_expr(rng, depth - 1)} {op} {_corpus_expr(rng, depth - 1)}"
+
+
+def _corpus_block(rng, depth):
+    return "{ " + " ".join(_corpus_stmt(rng, depth - 1) for _ in range(rng.randrange(3))) + " }"
+
+
+def _corpus_stmt(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.5:
+        return rng.choice(("x", "y", "out")) + " = " + _corpus_expr(rng, 3) + " ;"
+    if roll < 0.6:
+        return "halt ;"
+    if roll < 0.8:
+        other = " else " + _corpus_block(rng, depth) if rng.random() < 0.5 else ""
+        return f"if ( {_corpus_expr(rng, 2)} ) {_corpus_block(rng, depth)}{other}"
+    return f"while ( {_corpus_expr(rng, 2)} ) {_corpus_block(rng, depth)}"
+
+
+def _corpus_texts(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.4:
+            parts = [rng.choice(_PIECES) for _ in range(rng.randrange(1, 12))]
+        else:
+            program = " ".join(_corpus_stmt(rng, 3) for _ in range(rng.randrange(1, 4)))
+            parts = _TOKEN.findall(program)
+            for _ in range(rng.randrange(3)):
+                k = rng.randrange(len(parts))
+                edit = rng.randrange(5)
+                if edit == 0 and len(parts) > 1:
+                    del parts[k]
+                elif edit == 1:
+                    parts.insert(k, rng.choice(_PIECES))
+                elif edit == 2:
+                    parts[k] = rng.choice(_PIECES)
+                elif edit == 3 and k + 1 < len(parts):
+                    parts[k], parts[k + 1] = parts[k + 1], parts[k]
+                elif parts[k] in _SWAPS:
+                    parts[k] = rng.choice(_SWAPS[parts[k]])
+        yield "".join(part + rng.choice(_SEPARATORS) for part in parts)
+
+
+def _outcome(text):
+    try:
+        return "ok " + repr(parse_program(text).body)
+    except TplSyntaxError as error:
+        return f"{type(error).__name__} {error} {error.line}:{error.column}"
+
+
+def test_frozen_corpus_outcomes():
+    outcomes = [_outcome(text) for text in _corpus_texts(20261018, 5000)]
+    parsed = sum(o.startswith("ok ") for o in outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+    assert (parsed, digest) == (1072, "b950927859ad6a6d")
 
 
 def _token_digest(text: str) -> str:
@@ -355,6 +493,17 @@ def test_builtin_table_in_the_docs_matches_the_interpreter():
     assert documented == {name: len(types) for name, (types, _) in _BUILTINS.items()}
 
 
+def test_operator_levels_in_the_docs_match_the_parser():
+    from taulab.tpl import _BINOPS, _INFIX
+    docs = Path(__file__).resolve().parents[1] / "docs" / "tpl.md"
+    rows = re.findall(r"^(?:expr|sum|prod) +:=  \w+ \(\((.*?)\) \w+\)([?*])$",
+                      docs.read_text(encoding="utf-8"), re.M)
+    documented = [(tuple(re.findall(r"'(.*?)'", ops)), {"?": "none", "*": "left"}[repeat])
+                  for ops, repeat in rows]
+    assert documented == list(_INFIX)
+    assert {op for ops, _ in _INFIX for op in ops} == set(_BINOPS) | {"=="}
+
+
 def test_divergence():
     e = program_code("while (1) { }")
     for t in (0, 1, 10, 1000):
@@ -368,9 +517,34 @@ def test_divergence():
 
 
 # --------------------------------------------------------------------------
-# deep expressions: the parser and the evaluator recurse, and these depths
-# (about half of what parses today) work only because importing taulab raises
-# the recursion limit
+# deep inputs: the parser keeps its own stacks and works at any depth; the
+# evaluator recurses once per level, and the long sum and the nested calls
+# work only because importing taulab raises the recursion limit
+
+def _at_the_default_recursion_limit(*lines):
+    script = "\n".join(["import sys", "import taulab", "sys.setrecursionlimit(1000)", *lines])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_deep_parentheses_run_at_the_default_recursion_limit():
+    _at_the_default_recursion_limit(
+        "from taulab.codec import program_code",
+        "from taulab.tpl import tau",
+        "text = 'x = ' + '(' * 6000 + '1' + ')' * 6000 + ';'",
+        "assert tau(program_code(text), 0, 10) is True",
+    )
+
+
+def test_deeply_nested_blocks_parse_at_the_default_recursion_limit():
+    _at_the_default_recursion_limit(
+        "from taulab.tpl import Halt, If, parse_program",
+        "body = parse_program('if (1) {' * 5000 + 'halt;' + '}' * 5000).body",
+        "depth = 0",
+        "while isinstance(body[0], If): body, depth = body[0].then, depth + 1",
+        "assert (depth, body) == (5000, (Halt(),)), depth",
+    )
+
 
 def test_deeply_parenthesized_expression_halts():
     m = run("out = " + "(" * 2000 + "1" + ")" * 2000 + "; halt;")
