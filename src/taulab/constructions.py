@@ -25,6 +25,7 @@ All functions are pure: identical inputs give identical artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -194,21 +195,23 @@ class CompletionState:
         """The actual sentences added: f when asserted, ~f when negated."""
         return tuple(f if asserted else Not(f) for f, asserted in self.committed)
 
+    @cached_property
+    def _verdicts(self) -> dict[Formula, bool]:
+        """Every processed f and ~f, mapped to whether it was added."""
+        verdicts = {g: False for f, _ in self.committed for g in (f, Not(f))}
+        verdicts.update(dict.fromkeys(self.committed_sentences(), True))
+        return verdicts
+
     def decide(self, sentence: Formula) -> bool:
         """Membership of ``sentence`` in the completed prefix, by replay.
 
         Defined for the processed sentences and their negations only;
         anything else raises LookupError.
         """
-        for f, asserted in self.committed:
-            if asserted and sentence == f:
-                return True
-            if not asserted and sentence == Not(f):
-                return True
-        for f, _ in self.committed:
-            if sentence == f or sentence == Not(f):
-                return False
-        raise LookupError("sentence was not processed by this completion")
+        verdict = self._verdicts.get(sentence)
+        if verdict is None:
+            raise LookupError("sentence was not processed by this completion")
+        return verdict
 
 
 def henkin_complete(base: Callable[[Sequence[Formula], Formula], bool],
@@ -234,9 +237,10 @@ def henkin_complete(base: Callable[[Sequence[Formula], Formula], bool],
         names = free_vars(sentence)
         if names:
             raise FreeVariableError(names)
-        keep_negation = base(tuple(chosen), Not(sentence))
+        negation = Not(sentence)
+        keep_negation = base(tuple(chosen), negation)
         committed.append((sentence, not keep_negation))
-        chosen.append(Not(sentence) if keep_negation else sentence)
+        chosen.append(negation if keep_negation else sentence)
     return CompletionState(base, tuple(committed), len(committed))
 
 

@@ -35,6 +35,7 @@ them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Optional
@@ -649,15 +650,35 @@ def decide_order_theory(sentence: Formula) -> Verdict:
     return TRUE_IN_STD if order_truth(sentence) else FALSE_IN_STD
 
 
+# The last assumption tuple known to be all true, and the sentence the last
+# goal's truth shows true: the goal, or the negated sentence of a false
+# negation (None otherwise).  Members are compared by identity; the memo
+# holds them, so no id is reused.
+_known: tuple[tuple[Formula, ...], Optional[Formula]] = ((), None)
+
+
 def order_extension_derives(assumptions: Iterable[Formula], goal: Formula) -> bool:
     """Whether the order theory plus finitely many sentences derives goal.
 
     For a complete base theory, derivability from finitely many extra
-    sentences is truth of the single implication "conjunction -> goal".
+    sentences is truth of the single implication "conjunction -> goal",
+    and truth of goal alone once every assumption is known to be true.
+    A Henkin completion therefore decides each sentence once: it starts
+    with no assumptions and extends them only by the side it was just
+    told is true.  Any other call decides the whole implication and
+    forgets what was known.
     """
-    gamma = list(assumptions)
-    if not gamma:
-        return order_truth(goal)
+    global _known
+    gamma = tuple(assumptions)
+    prefix, told = _known if gamma else ((), None)
+    extra = len(gamma) - len(prefix)
+    if (extra == 0 or extra == 1 and gamma[-1] is told) \
+            and all(map(operator.is_, gamma, prefix)):
+        truth = order_truth(goal)
+        told = goal if truth else goal.inner if type(goal) is Not else None
+        _known = gamma, told
+        return truth
+    _known = (), None
     return order_truth(Imp(conjoin_left(gamma), goal))
 
 

@@ -583,7 +583,7 @@ _PLACEHOLDER = re.compile(r"\{\{([A-Z][A-Z0-9_]*)\}\}")
 
 
 def template_source(name: str) -> str:
-    ref = resources.files("taulab").joinpath("templates", f"{name}.tpl")
+    ref = resources.files(__package__).joinpath("templates", f"{name}.tpl")
     try:
         return ref.read_text(encoding="ascii")
     except FileNotFoundError:

@@ -43,6 +43,7 @@ from taulab.fol import (
     Num,
     Tau,
     Var,
+    conjoin_left,
     format_formula,
     parse_formula,
     rosser_sentence,
@@ -57,10 +58,14 @@ from taulab.proofs import (
     proof_to_code,
     prove_search,
 )
+from taulab import theories
 from taulab.theories import (
+    FALSUM,
     TRUE_IN_STD,
+    UnsupportedTermError,
     decide_order_theory,
     order_extension_derives,
+    order_truth,
     theory_T,
 )
 from taulab.tpl import Machine, output_code, program_from_code, tau, template_source
@@ -170,6 +175,133 @@ def test_inconsistent_base_is_refused():
         henkin_complete(order_extension_derives, [parse_formula("x = x")], 1)
     with pytest.raises(ValueError):
         henkin_complete(order_extension_derives, [], -1)
+
+
+# order_extension_derives decides a completion's sentences one at a time;
+# these pin it to its first definition, one implication per call.
+
+def _derives_by_implication(assumptions, goal):
+    gamma = list(assumptions)
+    return order_truth(Imp(conjoin_left(gamma), goal)) if gamma else order_truth(goal)
+
+
+def test_completion_decides_each_sentence_once(monkeypatch):
+    asked = []
+    real = theories.order_truth
+    monkeypatch.setattr(theories, "order_truth", lambda f: asked.append(f) or real(f))
+    corpus = random_order_sentences(50, seed=19)
+    for _ in range(2):   # the same sentence objects again start from nothing
+        asked.clear()
+        henkin_complete(order_extension_derives, corpus, 50)
+        assert len(asked) == 51
+        assert asked == [CONTRADICTION] + [Not(f) for f in corpus]
+
+
+@pytest.mark.parametrize("seed, count", [(2026, 200), (0, 60), (1, 60), (7, 60), (11, 60)])
+def test_completion_commits_as_the_implication_oracle(seed, count):
+    corpus = random_order_sentences(count, seed=seed)
+    state = henkin_complete(order_extension_derives, corpus, count)
+    assert state.committed == henkin_complete(_derives_by_implication, corpus, count).committed
+
+
+_T, _F = parse_formula("0 < #1"), parse_formula("#1 < 0")
+_NOT_F = Not(_F)
+
+
+def _warm(derives):
+    """A completion's first calls: afterwards ~F is known true, and so is T."""
+    return [derives((), CONTRADICTION), derives((), _NOT_F), derives((_NOT_F,), Not(_T))]
+
+
+# each case: the calls, and the answer to the last one
+_MEMO_DEFEATS = {
+    # the false goal instead of its negated sentence: ex falso
+    "false-goal-assumed": (lambda d: _warm(d) + [d((_NOT_F, Not(_T)), _F)], True),
+    "false-sentence-in-a-known-place": (lambda d: _warm(d) + [d((_F, _T), _F)], True),
+    "false-conjunction-assumed": (
+        lambda d: [d((), CONTRADICTION), d((CONTRADICTION,), _F)], True),
+    "equal-not-identical": (lambda d: _warm(d) + [
+        d((Not(_F), _T), _F), d((Not(parse_formula("#1 < 0")),), Not(_T))], False),
+    "dropped-element": (lambda d: _warm(d) + [
+        d((_NOT_F, _T), Not(CONTRADICTION)), d((_T, Not(CONTRADICTION)), _F)], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMO_DEFEATS))
+def test_memo_defeating_calls_answer_as_the_implication(case):
+    calls, last = _MEMO_DEFEATS[case]
+    answers = calls(order_extension_derives)
+    assert answers == calls(_derives_by_implication)
+    assert answers[-1] is last
+
+
+def test_oracle_calls_between_stream_sentences_leave_commitments_alone():
+    corpus = random_order_sentences(40, seed=13)
+
+    def interleaved():
+        for i, sentence in enumerate(corpus):
+            yield sentence
+            order_extension_derives(([], [FALSUM], corpus[:i])[i % 3], sentence)
+
+    state = henkin_complete(order_extension_derives, interleaved(), 40)
+    assert state.committed == henkin_complete(_derives_by_implication, corpus, 40).committed
+
+
+def test_a_pairing_sentence_fails_at_its_own_step():
+    corpus = random_order_sentences(12, seed=17)
+    corpus.insert(7, parse_formula("pi(0, 0) = 0"))
+
+    def failure(derives):
+        sizes = []
+
+        def counted(assumptions, goal):
+            sizes.append(len(assumptions))
+            return derives(assumptions, goal)
+
+        with pytest.raises(UnsupportedTermError) as raised:
+            henkin_complete(counted, corpus, len(corpus))
+        return sizes, str(raised.value)
+
+    sizes, message = failure(order_extension_derives)
+    assert sizes == [0, 0, 1, 2, 3, 4, 5, 6, 7]
+    assert failure(_derives_by_implication) == (sizes, message)
+
+
+def _decide_by_scan(state, sentence):
+    """CompletionState.decide as first defined: a scan with structural ==."""
+    for f, asserted in state.committed:
+        if sentence == (f if asserted else Not(f)):
+            return True
+    for f, _ in state.committed:
+        if sentence == f or sentence == Not(f):
+            return False
+    raise LookupError
+
+
+def test_replay_of_duplicates_and_negations():
+    t, f = parse_formula("0 < #1"), parse_formula("#1 < 0")
+    state = henkin_complete(order_extension_derives, [t, f, t, Not(t), Not(Not(f))], 5)
+    assert state.committed == ((t, True), (f, False), (t, True),
+                               (Not(t), False), (Not(Not(f)), False))
+    accepted = [t, Not(Not(t)), Not(f), Not(Not(Not(f)))]
+    rejected = [Not(t), f, Not(Not(f))]
+    unprocessed = [Not(Not(Not(t))), parse_formula("0 = 0")]
+    for sentence in accepted + rejected:
+        assert state.decide(sentence) is (sentence in accepted)
+        assert state.decide(sentence) is _decide_by_scan(state, sentence)
+    for sentence in unprocessed:
+        with pytest.raises(LookupError):
+            state.decide(sentence)
+        with pytest.raises(LookupError):
+            _decide_by_scan(state, sentence)
+
+
+def test_replay_agrees_with_a_scan():
+    corpus = random_order_sentences(30, seed=23)
+    corpus += [corpus[4], Not(corpus[5]), Not(Not(corpus[6]))]
+    state = henkin_complete(order_extension_derives, corpus, len(corpus))
+    for sentence in corpus + [Not(f) for f in corpus]:
+        assert state.decide(sentence) is _decide_by_scan(state, sentence)
 
 
 # --------------------------------------------------------------------------

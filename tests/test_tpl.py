@@ -6,8 +6,10 @@ inner consumption) and frozen here as literals.
 """
 
 import hashlib
+import importlib
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -759,6 +761,21 @@ def test_template_source_is_ascii_and_parses():
     for name in ("searcher", "kleene_searcher", "enum_t", "enum_s"):
         text = template_source(name)
         assert text.isascii()
+
+
+def test_a_copy_of_the_package_reads_its_own_templates(tmp_path, monkeypatch):
+    copy = tmp_path / "taulab_copy"
+    shutil.copytree(Path(taulab.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    edited = "x = 1;\n"
+    (copy / "templates" / "searcher.tpl").write_text(edited, encoding="ascii")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        assert importlib.import_module("taulab_copy.tpl").template_source("searcher") == edited
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "taulab_copy"]:
+            del sys.modules[name]
+    assert template_source("searcher") != edited
 
 
 # --------------------------------------------------------------------------
