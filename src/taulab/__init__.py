@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import sys
 
-# The parsers and the hot walks keep their own stacks.  The raised limit still
-# carries the walks that recurse once per nesting level: substitute, printing
-# of left-nested chains, theories._to_internal and _ev, and Machine._eval.
+# The parsers, the TPL compiler's block layout and the hot walks keep their
+# own stacks.  The raised limit still carries the walks that recurse once per
+# nesting level: substitute, printing of left-nested chains,
+# theories._to_internal and _ev, and TPL expressions, whose compiled closures
+# nest (and are compiled) once per level.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 

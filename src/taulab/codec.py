@@ -131,32 +131,49 @@ def in_pair_range(p: int) -> bool:
 #   memoised per call; pieces of at most _SAFE_DIGITS digits go to int().
 #
 # A construction prints a code into a template and lexes the same numeral
-# straight back, often twice, so the last conversion past either threshold,
-# in either direction, is remembered as one (natural, text) entry.  A hit is
-# a plain == compare (tens of microseconds for a 269k-digit text, against a
-# conversion of over 100 ms).  Only canonical texts are stored: one with a
-# leading zero denotes the same natural but is not what nat_to_decimal
-# prints.  Both values are immutable, so sharing them with every caller
-# changes no result.
+# straight back, often twice, and the Rosser race alternates two searcher
+# numerals with the stream and its planted axiom.  So the last few
+# conversions past either threshold, in either direction, are remembered as
+# (natural, text) entries, most recent first.  A hit is a plain == compare
+# (tens of microseconds for a 269k-digit text, against a conversion of over
+# 100 ms).  Only canonical texts are stored: one with a leading zero
+# denotes the same natural but is not what nat_to_decimal prints.  Both
+# values are immutable, so sharing them with every caller changes no
+# result.  The tuple is replaced whole, never changed in place.
 
 _SMALL_BITS = 8192
 _SAFE_DIGITS = 2048
+_RECENT_SIZE = 4
 
-_last: tuple[int, str] = (-1, "")
+_recent: tuple[tuple[int, str], ...] = ()
+
+
+def _recall(side: int, key) -> tuple[int, str] | None:
+    """The remembered entry whose natural (side 0) or text (side 1) equals
+    ``key``, moved to the front; None when there is none."""
+    for entry in _recent:
+        if entry[side] == key:
+            _remember(entry)
+            return entry
+    return None
+
+
+def _remember(entry: tuple[int, str]) -> None:
+    global _recent
+    if not _recent or _recent[0] is not entry:
+        _recent = (entry, *(e for e in _recent if e is not entry))[:_RECENT_SIZE]
 
 
 def nat_to_decimal(n: int) -> str:
     """Decimal text of a natural, regardless of how many digits it takes."""
-    global _last
     _check_nat(n)
     if n.bit_length() <= _SMALL_BITS:
         return str(n)
-    last_n, last_text = _last
-    if n == last_n:
-        return last_text
-    text = _big_nat_to_decimal(n)
-    _last = (int(n), text)
-    return text
+    entry = _recall(0, n)
+    if entry is None:
+        entry = (int(n), _big_nat_to_decimal(n))
+        _remember(entry)
+    return entry[1]
 
 
 def _big_nat_to_decimal(n: int) -> str:
@@ -192,17 +209,16 @@ def _big_nat_to_decimal(n: int) -> str:
 
 def decimal_to_nat(text: str) -> int:
     """Natural denoted by a string of ASCII digits (any length)."""
-    global _last
     if not text or not text.isascii() or not text.isdigit():
         raise CodecError(f"not a decimal numeral: {text!r}")
     if len(text) <= _SAFE_DIGITS:
         return int(text)
-    last_n, last_text = _last
-    if text == last_text:
-        return last_n
+    entry = _recall(1, text)
+    if entry is not None:
+        return entry[0]
     n = _big_decimal_to_nat(text)
     if text[0] != "0":
-        _last = (n, text)
+        _remember((n, text))
     return n
 
 

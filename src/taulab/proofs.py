@@ -569,15 +569,21 @@ def _target_formula(sentence_code: int) -> Formula | None:
     return formula
 
 
+# The two verdicts reached before any enumerator work, shared: a searcher
+# gets one for almost every code it tries.  CheckResult is frozen.
+_BAD_TARGET = CheckResult(False, "bad_target", None, 0)
+_MALFORMED = CheckResult(False, "malformed", None, 0)
+
+
 def check_coded_proof(enum_code: int, proof_code: int, sentence_code: int,
                       step_budget: int) -> CheckResult:
     """The in-language proof checker: everything arrives as numbers."""
     target = _target_formula(sentence_code)
     if target is None:
-        return CheckResult(False, "bad_target", None, 0)
+        return _BAD_TARGET
     proof = code_to_proof(proof_code)
     if proof is None:
-        return CheckResult(False, "malformed", None, 0)
+        return _MALFORMED
     return check_proof(proof, EnumeratorIndexed(enum_code), target, step_budget)
 
 

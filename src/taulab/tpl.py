@@ -44,7 +44,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from importlib import resources
 
 from ._syntax import Cursor, PositionedError, tokenize
@@ -135,6 +135,11 @@ class DigitLoop:
 class TplProgram:
     source: str
     body: tuple
+
+    @cached_property
+    def compiled(self) -> tuple:
+        """The body as statement closures (``_compile``), built for the first run."""
+        return _compile(self.body)
 
 
 _KEYWORDS = {"if", "else", "while", "halt"}
@@ -321,7 +326,7 @@ class _Fault(Exception):
 class Machine:
     """One budgeted run of a TPL program on one input."""
 
-    __slots__ = ("env", "steps", "budget", "halted", "fault", "_frames")
+    __slots__ = ("env", "steps", "budget", "halted", "fault", "_code", "_pc")
 
     def __init__(self, program: TplProgram, input_value: int, budget: int):
         if input_value < 0 or budget < 0:
@@ -331,121 +336,29 @@ class Machine:
         self.budget = budget
         self.halted = False
         self.fault: str | None = None
-        self._frames: list[list] = [[program.body, 0]]
-
-    # -- driving
+        self._code = program.compiled
+        self._pc = 0  # the next statement, where a run out of budget resumes
 
     def run(self) -> "Machine":
         if self.halted or self.fault is not None:
             return self
+        code, env, budget = self._code, self.env, self.budget
+        n, pc = len(code), self._pc
         try:
-            self._loop()
-            self.halted = True
+            while pc < n:
+                # charged first: the simulating builtins read the steps left
+                if self.steps >= budget:
+                    break
+                self.steps += 1
+                pc = code[pc](self, env)
+            else:
+                self.halted = True
         except _OutOfBudget:
-            self.steps = self.budget
+            self.steps = budget
         except _Fault as f:
             self.fault = f.message
+        self._pc = pc
         return self
-
-    def _loop(self):
-        frames = self._frames
-        while frames:
-            top = frames[-1]
-            stmts, idx = top
-            if idx >= len(stmts):
-                frames.pop()
-                continue
-            stmt = stmts[idx]
-            cls = type(stmt)
-            self._charge(1)
-            if cls is Assign:
-                value = self._eval(stmt.expr)
-                self.env[stmt.name] = value
-                top[1] = idx + 1
-            elif cls is If:
-                branch = stmt.then if _truthy(self._eval(stmt.cond)) else stmt.other
-                top[1] = idx + 1
-                if branch:
-                    frames.append([branch, 0])
-            elif cls is While:
-                if _truthy(self._eval(stmt.cond)):
-                    if stmt.body:
-                        frames.append([stmt.body, 0])
-                else:
-                    top[1] = idx + 1
-            elif cls is DigitLoop:
-                # with v or d missing or mistyped, the loop's own header
-                # faults or exits, or else its body faults
-                if self._digits(stmt) or not _truthy(self._eval(stmt.loop.cond)):
-                    top[1] = idx + 1
-                else:
-                    frames.append([stmt.loop.body, 0])
-            else:  # Halt
-                return
-
-    def _digits(self, stmt: DigitLoop) -> bool:
-        """Finish a digit loop whose first header step is charged; False,
-        changing nothing, when ``v`` is not a natural or ``d`` not a text.
-
-        Each digit costs 3 steps (two assignments and the next header).
-        When the budget ends first, ``env`` and the frames are left as the
-        statement-by-statement run leaves them: q whole digits done, then
-        r < 3 more statements.
-        """
-        env = self.env
-        v, d = env.get(stmt.v), env.get(stmt.d)
-        if type(v) is not int or type(d) is not str:
-            return False
-        text = nat_to_decimal(v) if v else ""  # str() raises past 4300 digits
-        n = len(text)
-        left = self.budget - self.steps
-        if 3 * n <= left:
-            env[stmt.d] = text + d
-            env[stmt.v] = 0
-            self.steps += 3 * n
-            return True
-        q, r = divmod(left, 3)
-        env[stmt.d] = text[n - q - (r >= 1):] + d
-        env[stmt.v] = v // 10 ** (q + (r >= 2))
-        if r < 2:  # stopped inside the body, before statement r
-            self._frames.append([stmt.loop.body, r])
-        self.steps = self.budget
-        raise _OutOfBudget
-
-    def _charge(self, k: int):
-        if self.steps + k > self.budget:
-            raise _OutOfBudget
-        self.steps += k
-
-    # -- expressions: one frame per level, operands and arguments are all
-    # evaluated before any of their types is checked
-
-    def _eval(self, e):
-        cls = type(e)
-        if cls is Lit:
-            return e.value
-        if cls is Name:
-            try:
-                return self.env[e.name]
-            except KeyError:
-                raise _Fault(f"undefined variable {e.name!r}") from None
-        if cls is BinOp:
-            a = self._eval(e.left)
-            b = self._eval(e.right)
-            if e.op == "==":
-                return 1 if (type(a) is type(b) and a == b) else 0
-            if type(a) is not int or type(b) is not int:
-                raise _Fault(f"{e.op} needs a natural, got a string")
-            return _BINOPS[e.op](a, b)
-        types, builtin = _BUILTINS[e.name]
-        args = [self._eval(a) for a in e.args]
-        i = 0
-        for want in types:  # zip() costs more than this loop
-            if type(args[i]) is not want:
-                raise _Fault(f"{e.name} needs a {_TYPE_NAMES[want]}, "
-                             f"got a {_TYPE_NAMES[type(args[i])]}")
-            i += 1
-        return builtin(self, *args)
 
     # -- simulating builtins
 
@@ -456,7 +369,7 @@ class Machine:
         inner = run_code(e, x, cap)
         if inner is None:
             return None
-        self._charge(inner.steps)
+        self.steps += inner.steps  # at most cap, so within the budget
         if not inner.halted and inner.fault is None and cap < t:
             # the cap that stopped the run was ours, not the caller's t:
             # the outcome at t is unknown within this budget
@@ -478,14 +391,14 @@ class Machine:
     def _checkproof(self, enum_code, proof_code, sentence_code):
         result = proofs.check_coded_proof(enum_code, proof_code, sentence_code,
                                           step_budget=self.budget - self.steps)
-        self._charge(result.consumed)
+        self.steps += result.consumed  # at most step_budget
         if result.kind == "budget":
             raise _OutOfBudget
         return 1 if result.ok else 0
 
 
-# Both operands of these operators must be naturals; ``==`` compares any
-# two values and is evaluated on its own.
+# Every operator but ``==`` needs two naturals; ``==`` compares any two
+# values, and values of different types are unequal.
 _BINOPS = {
     "+": operator.add,
     "-": lambda a, b: a - b if a > b else 0,
@@ -494,6 +407,7 @@ _BINOPS = {
     "%": lambda a, b: a if b == 0 else a % b,
     "<": lambda a, b: 1 if a < b else 0,
     "<=": lambda a, b: 1 if a <= b else 0,
+    "==": lambda a, b: 1 if type(a) is type(b) and a == b else 0,
 }
 
 _TYPE_NAMES = {int: "natural", str: "string"}
@@ -532,8 +446,173 @@ _BUILTINS = {
 }
 
 
-def _truthy(v) -> bool:
-    return v != 0 if type(v) is int else v != ""
+# --------------------------------------------------------------------------
+# compiler: a program runs as a flat tuple of statement closures.  Each one
+# takes the machine and its env, runs its statement, and returns the index
+# of the statement to run next.
+
+def _compile(body: tuple) -> tuple:
+    """``body`` laid out flat, each statement followed by its blocks.  The
+    end of a block is no statement and costs no step: the last statement of
+    an ``if`` block returns the index after the ``if``, the last of a loop
+    body the loop's header, and ``halt`` the length of the code.  A jump
+    target is a cell, filled in when the statement it names is placed;
+    blocks wait on a stack, so compiling never recurses per block level."""
+    placed, end = [], [None]  # (builder, node, target cells) per statement
+    stack = [[body, 0, end, [None]]]  # block, next index, exit and entry cells
+    while stack:
+        frame = stack[-1]
+        block, i, out, entry = frame
+        if i == len(block):
+            stack.pop()
+            continue
+        entry[0], stmt, blocks = len(placed), block[i], ()
+        nxt = out if i == len(block) - 1 else [None]
+        frame[1], frame[3] = i + 1, nxt
+        if type(stmt) is Assign:
+            placed.append((_assign, stmt, (nxt,)))
+        elif type(stmt) is Halt:  # a header whose both ways lead to the end
+            placed.append((_branch, Lit(1), (end, end)))
+        elif type(stmt) is If:  # an empty block's entry is its exit
+            yes, no = [None] if stmt.then else nxt, [None] if stmt.other else nxt
+            placed.append((_branch, stmt.cond, (yes, no)))
+            blocks = (stmt.other, nxt, no), (stmt.then, nxt, yes)
+        else:
+            head, loop = [len(placed)], stmt if type(stmt) is While else stmt.loop
+            yes = [None] if loop.body else head
+            placed.append((_branch, loop.cond, (yes, nxt)) if loop is stmt
+                          else (_digit_loop, stmt, (head, yes, nxt)))
+            blocks = (loop.body, head, yes),
+        stack += [[b, 0, out, first] for b, out, first in blocks if b]
+    end[0] = len(placed)
+    return tuple(build(node, *(cell[0] for cell in cells)) for build, node, cells in placed)
+
+
+def _assign(stmt: Assign, nxt: int):
+    name, value = stmt.name, _expr(stmt.expr)
+
+    def assign(m, env):
+        env[name] = value(m, env)
+        return nxt
+    return assign
+
+
+def _branch(cond, yes: int, no: int):
+    """An ``if`` or ``while`` header.  Every value is an int or a str, whose
+    Python truth is TPL's: 0 and "" are false."""
+    test = _expr(cond)
+    return lambda m, env: yes if test(m, env) else no
+
+
+def _digit_loop(stmt: DigitLoop, head: int, body: int, out: int):
+    """The header of a digit loop, running the whole loop by one host
+    conversion when ``v`` is a natural and ``d`` a text.
+
+    Each digit costs 3 steps (two assignments and the next header).  When
+    the budget ends first, ``env`` is left as the statement-by-statement run
+    leaves it, q whole digits done and then r < 3 more statements, and the
+    run resumes at body statement r, or at the header for r = 2.
+    """
+    v, d, plain = stmt.v, stmt.d, _branch(stmt.loop.cond, body, out)
+
+    def digits(m, env):
+        n, tail = env.get(v), env.get(d)
+        if type(n) is not int or type(tail) is not str:
+            # the loop's own header faults or exits, or else its body faults
+            return plain(m, env)
+        text = nat_to_decimal(n) if n else ""  # str() raises past 4300 digits
+        k, left = len(text), m.budget - m.steps
+        if 3 * k <= left:
+            env[d], env[v] = text + tail, 0
+            m.steps += 3 * k
+            return out
+        q, r = divmod(left, 3)
+        env[d] = text[k - q - (r >= 1):] + tail
+        env[v] = n // 10 ** (q + (r >= 2))
+        m.steps = m.budget
+        return head if r == 2 else body + r
+    return digits
+
+
+# -- expressions: one closure per node, which evaluates every operand or
+# argument before checking the type of any
+
+def _expr(e):
+    cls = type(e)
+    if cls is Lit:
+        value = e.value
+        return lambda m, env: value
+    if cls is Name:
+        name = e.name
+
+        def read(m, env):
+            try:
+                return env[name]
+            except KeyError:
+                raise _Fault(f"undefined variable {name!r}") from None
+        return read
+    # the operands are compiled in this frame: one frame per level
+    if cls is BinOp:
+        return _binop(e, _expr(e.left), _expr(e.right))
+    return _call(e.name, tuple(map(_expr, e.args)))
+
+
+def _binop(e: BinOp, fl, fr):
+    op = e.op
+    f, nat, fault = _BINOPS[op], op != "==", f"{op} needs a natural, got a string"
+    if type(e.left) is Name and type(e.right) is Lit:  # read inline, as in i + 1
+        name, b = e.left.name, e.right.value
+
+        def binop(m, env):
+            try:
+                a = env[name]
+            except KeyError:
+                raise _Fault(f"undefined variable {name!r}") from None
+            if nat and (type(a) is not int or type(b) is not int):
+                raise _Fault(fault)
+            return f(a, b)
+        return binop
+
+    def binop(m, env):
+        a, b = fl(m, env), fr(m, env)
+        if nat and (type(a) is not int or type(b) is not int):
+            raise _Fault(fault)
+        return f(a, b)
+    return binop
+
+
+def _call(name: str, args: tuple):
+    types, impl = _BUILTINS[name]
+
+    def mistyped(*values) -> _Fault:
+        want, got = next((w, type(v)) for w, v in zip(types, values) if type(v) is not w)
+        return _Fault(f"{name} needs a {_TYPE_NAMES[want]}, got a {_TYPE_NAMES[got]}")
+
+    if len(args) == 1:
+        (f0,), (t0,) = args, types
+
+        def call(m, env):
+            a = f0(m, env)
+            if type(a) is t0:
+                return impl(m, a)
+            raise mistyped(a)
+    elif len(args) == 2:
+        (f0, f1), (t0, t1) = args, types
+
+        def call(m, env):
+            a, b = f0(m, env), f1(m, env)
+            if type(a) is t0 and type(b) is t1:
+                return impl(m, a, b)
+            raise mistyped(a, b)
+    else:
+        (f0, f1, f2), (t0, t1, t2) = args, types
+
+        def call(m, env):
+            a, b, c = f0(m, env), f1(m, env), f2(m, env)
+            if type(a) is t0 and type(b) is t1 and type(c) is t2:
+                return impl(m, a, b, c)
+            raise mistyped(a, b, c)
+    return call
 
 
 def output_code(machine: Machine) -> int:

@@ -248,13 +248,66 @@ def test_small_numerals_do_not_load_decimal():
 
 
 # --------------------------------------------------------------------------
-# the one-entry (natural, text) memo of the last conversion past the
-# thresholds: hits return the same values a fresh conversion would
+# the memo of the last few (natural, text) conversions past the thresholds:
+# hits return the same values a fresh conversion would
 
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    monkeypatch.setattr(codec, "_last", (-1, ""))
+    monkeypatch.setattr(codec, "_recent", ())
+
+
+@pytest.fixture
+def conversions(empty_memo, monkeypatch):
+    """How many big conversions ran, by direction."""
+    calls = {"to_text": 0, "to_nat": 0}
+    to_text, to_nat = codec._big_nat_to_decimal, codec._big_decimal_to_nat
+
+    def counted_to_text(n):
+        calls["to_text"] += 1
+        return to_text(n)
+
+    def counted_to_nat(text):
+        calls["to_nat"] += 1
+        return to_nat(text)
+
+    monkeypatch.setattr(codec, "_big_nat_to_decimal", counted_to_text)
+    monkeypatch.setattr(codec, "_big_decimal_to_nat", counted_to_nat)
+    return calls
+
+
+def _big(seed: int) -> int:
+    bits = 3 * codec._SMALL_BITS
+    return random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+
+
+def test_alternating_two_big_numerals_converts_each_once(conversions):
+    a, b = _big(1), _big(2)
+    texts = {a: _reference_decimal(a), b: _reference_decimal(b)}
+    for n in (a, b) * 5:
+        assert nat_to_decimal(n) == texts[n]
+        assert decimal_to_nat(texts[n]) == n
+    assert conversions == {"to_text": 2, "to_nat": 0}
+    for n in (b, a) * 3:  # the other direction first
+        assert decimal_to_nat(texts[n] + "1") == 10 * n + 1
+    assert conversions == {"to_text": 2, "to_nat": 2}
+
+
+def test_the_memo_stays_bounded(conversions):
+    numbers = [_big(seed) for seed in range(3 * codec._RECENT_SIZE)]
+    for n in numbers:
+        assert nat_to_decimal(n) == _reference_decimal(n)
+        assert len(codec._recent) <= codec._RECENT_SIZE
+    assert [entry[0] for entry in codec._recent] == numbers[::-1][:codec._RECENT_SIZE]
+    nat_to_decimal(numbers[0])  # long evicted: converted again
+    assert conversions["to_text"] == len(numbers) + 1
+
+
+def test_a_text_with_a_leading_zero_is_not_stored(conversions):
+    n = _big(3)
+    text = "0" + _reference_decimal(n)
+    assert decimal_to_nat(text) == n and codec._recent == ()
+    assert decimal_to_nat(text) == n and conversions["to_nat"] == 2
 
 
 def test_leading_zero_texts_do_not_poison_the_memo(empty_memo):
@@ -300,24 +353,11 @@ def test_memo_keeps_the_input_checks(empty_memo):
     assert type(decimal_to_nat(nat_to_decimal(type("Nat", (int,), {})(n + 1)))) is int
 
 
-def test_rosser_pair_prints_the_stream_once_and_never_parses_it(empty_memo, monkeypatch):
+def test_rosser_pair_prints_the_stream_once_and_never_parses_it(conversions):
     from taulab.constructions import rosser_pair
     from taulab.tpl import template_source
 
-    calls = {"to_text": 0, "to_nat": 0}
-    to_text, to_nat = codec._big_nat_to_decimal, codec._big_decimal_to_nat
-
-    def counted_to_text(n):
-        calls["to_text"] += 1
-        return to_text(n)
-
-    def counted_to_nat(text):
-        calls["to_nat"] += 1
-        return to_nat(text)
-
-    monkeypatch.setattr(codec, "_big_nat_to_decimal", counted_to_text)
-    monkeypatch.setattr(codec, "_big_decimal_to_nat", counted_to_nat)
     rosser_pair(program_code(template_source("enum_s")))
     # one print of the stream code; both searcher lexes (and the artifact's
     # own decode of both searchers) find it in the memo
-    assert calls == {"to_text": 1, "to_nat": 0}
+    assert conversions == {"to_text": 1, "to_nat": 0}

@@ -647,6 +647,25 @@ def test_checkproof_builtin_matches_the_host_checker(planted_oracle):
     assert m2.halted and m2.env["out"] == 0
 
 
+def test_verdicts_before_any_enumerator_work_are_shared(planted_oracle):
+    e, t = planted_oracle.enum_code, program_code("0 < #1")
+    malformed = [c for c in range(40) if code_to_proof(c) is None]
+    assert len(malformed) > 5
+    results = [check_coded_proof(e, c, t, 10 ** 6) for c in malformed]
+    results += [check_coded_proof(e, c, 29, 10 ** 6) for c in (3, 10)]
+    assert results[0] == CheckResult(False, "malformed", None, 0)
+    assert results[-1] == CheckResult(False, "bad_target", None, 0)
+    assert all(r is results[0] for r in results[:-2])
+    assert results[-2] is results[-1]
+    # the builtin charges nothing for them, and answers 0 on any budget
+    for proof, target in [(c, t) for c in malformed] + [(10, 29)]:
+        for budget in (1, 2, 3):
+            text = f"out = checkproof({nat_to_decimal(e)}, {proof}, {target}); halt;"
+            m = Machine(parse_program(text),
+                        0, budget).run()
+            assert (m.halted, m.fault, m.steps, m.env["out"]) == (budget >= 2, None, min(budget, 2), 0)
+
+
 def test_checkproof_on_a_target_with_non_ascii_digits_is_zero():
     assert check_coded_proof(0, 10, program_code("#\xb2 = 0"), 100).kind == "bad_target"
     m = Machine(parse_program('out = checkproof(0, 10, tonat("#\xb2 = 0")); halt;'), 0, 100).run()

@@ -519,9 +519,10 @@ def test_divergence():
 
 
 # --------------------------------------------------------------------------
-# deep inputs: the parser keeps its own stacks and works at any depth; the
-# evaluator recurses once per level, and the long sum and the nested calls
-# work only because importing taulab raises the recursion limit
+# deep inputs: the parser and the compiler's block layout keep their own
+# stacks and work at any depth; expression closures nest once per level, and
+# the long sum and the nested calls work only because importing taulab
+# raises the recursion limit
 
 def _at_the_default_recursion_limit(*lines):
     script = "\n".join(["import sys", "import taulab", "sys.setrecursionlimit(1000)", *lines])
@@ -545,6 +546,20 @@ def test_deeply_nested_blocks_parse_at_the_default_recursion_limit():
         "depth = 0",
         "while isinstance(body[0], If): body, depth = body[0].then, depth + 1",
         "assert (depth, body) == (5000, (Halt(),)), depth",
+    )
+
+
+def test_deeply_nested_blocks_run_at_the_default_recursion_limit():
+    # 5 000 nested ifs, each with one assignment, then halt; and 3 000 nested
+    # loops over one counter, each header true once and false once
+    _at_the_default_recursion_limit(
+        "from taulab.tpl import Machine, parse_program",
+        "ifs = parse_program('x = 0; ' + 'if (1) { x = x + 1; ' * 5000 + 'halt;' + '}' * 5000)",
+        "m = Machine(ifs, 0, 20000).run()",
+        "assert (m.halted, m.steps, m.env['x']) == (True, 10002, 5000), (m.halted, m.steps)",
+        "loops = parse_program('i = 0; ' + 'while (i < 3000) { i = i + 1; ' * 3000 + '}' * 3000 + ' halt;')",
+        "m = Machine(loops, 0, 20000).run()",
+        "assert (m.halted, m.steps, m.env['i']) == (True, 9002, 3000), (m.halted, m.steps)",
     )
 
 
@@ -592,6 +607,34 @@ def test_inner_run_capped_by_outer_budget_is_not_a_verdict():
     # with room to actually run 100 inner steps the verdict lands
     m2 = run(text, 0, 102)
     assert m2.halted and m2.env["out"] == 0 and m2.steps == 102
+
+
+def _simulated(builtin: str, budget: int, t: int, halts_at: int | None):
+    """(halted, fault, steps, out) of ``out = builtin(e, 0, t); halt;`` on
+    ``budget`` steps, for an e that halts at step ``halts_at`` (None: never)
+    and outputs 0.  The assignment leaves budget - 1 steps, and the inner
+    run is capped at min(t, budget - 1)."""
+    cap = min(t, budget - 1)
+    halted = halts_at is not None and halts_at <= cap
+    used = halts_at if halted else cap
+    if not halted and cap < t:
+        return False, None, budget, None  # the outer run ran out: no verdict
+    if builtin == "runout" and not halted:
+        return False, "runout: program did not halt within the bound", 1 + used, None
+    out = 1 if builtin == "taub" and halted else 0
+    return used + 2 <= budget, None, min(used + 2, budget), out
+
+
+@pytest.mark.parametrize("builtin", ["taub", "runout"])
+@pytest.mark.parametrize("inner, halts_at", [
+    ("i = 0; while (1) { i = i + 1; }", None), ("i = 0; i = i + 1; halt;", 3)])
+@pytest.mark.parametrize("budget", [1, 2, 4, 5, 11, 12])
+@pytest.mark.parametrize("t", [0, 2, 3, 10, 11, 10 ** 12])
+def test_simulation_is_capped_at_the_outer_budget(builtin, inner, halts_at, budget, t):
+    # t = 10**12 would take hours uncapped
+    m = run(f"out = {builtin}({program_code(inner)}, 0, {t}); halt;", 0, budget)
+    assert (m.halted, m.fault, m.steps, m.env.get("out")) == \
+        _simulated(builtin, budget, t, halts_at)
 
 
 def test_runout_returns_the_packed_out_value():
@@ -929,10 +972,10 @@ def _loop_and_twin(prefix: str):
 
 
 def _state(m: Machine):
-    return (m.halted, m.fault, m.steps, dict(m.env), [i for _, i in m._frames])
+    return (m.halted, m.fault, m.steps, dict(m.env), m._pc)
 
 
-def _stepped_states(program: TplProgram, input_value: int, last: int) -> list:
+def _stepped_states(program: TplProgram, input_value: int, last: int, state=_state) -> list:
     """The states of ``program`` at budgets 0..last, from one run whose
     budget is raised a step at a time: a plain statement runs out before it
     has any effect, so running on continues the same run."""
@@ -940,8 +983,34 @@ def _stepped_states(program: TplProgram, input_value: int, last: int) -> list:
     states = []
     for budget in range(last + 1):
         m.budget = budget
-        states.append(_state(m.run()))
+        states.append(state(m.run()))
     return states
+
+
+def _run_outcome(m: Machine):
+    return (m.halted, m.fault, m.steps, dict(m.env))
+
+
+def _resumes_exactly(program: TplProgram, input_value: int, last: int):
+    resumed = _stepped_states(program, input_value, last, _run_outcome)
+    for budget in range(last + 1):
+        assert resumed[budget] == _run_outcome(Machine(program, input_value, budget).run()), budget
+    return resumed[-1]
+
+
+# the resume contract is exact for programs without simulating builtins
+@pytest.mark.parametrize("text", [p for p in _POOL if "taub" not in p])
+@pytest.mark.parametrize("x", [0, 1, 2, 5])
+def test_a_resumed_run_equals_a_fresh_run_at_every_budget(text, x):
+    _resumes_exactly(parse_program(text), x, 40)
+
+
+# the axiom and segment slots run no simulating builtin; slot 8 runs
+# taub(0, 0, 1), whose inner run of the empty program costs nothing
+@pytest.mark.parametrize("slot", [0, 3, 5, 7, 8, 13, 19])
+def test_enum_s_resumes_exactly_up_to_its_halt(slot):
+    halt = _ENUM_S_GOLDEN[slot, None][2]
+    assert _resumes_exactly(instantiate_template("enum_s", {}), slot, halt)[0]
 
 
 _DIGIT_VALUES = [0, 1, 9, 10, *(10 ** k + s for k in (2, 5, 19) for s in (-1, 0, 1)),
