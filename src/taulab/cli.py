@@ -62,10 +62,10 @@ from .fol import (
     Not,
     Num,
     Or,
-    Succ,
     Var,
     format_formula,
     parse_sentence,
+    succ,
 )
 from .proofs import (
     EnumeratorIndexed,
@@ -377,9 +377,7 @@ def _order_corpus(count: int, seed: int) -> list[Formula]:
             base = Var(rng.choice(bound))
         else:
             base = Num(rng.randrange(4))
-        for _ in range(rng.randrange(depth + 1)):
-            base = Num(base.value + 1) if isinstance(base, Num) else Succ(base)
-        return base
+        return succ(base, rng.randrange(depth + 1))
 
     def formula(depth, bound):
         if depth == 0 or rng.random() < 0.3:

@@ -184,22 +184,25 @@ class CompletionState:
     ``base`` is a finite-extension derivability oracle: base(assumptions,
     goal) says whether the base theory plus the finitely many assumption
     sentences derives the goal.  ``committed`` records, per processed
-    sentence, whether it was asserted (True) or its negation was (False).
+    sentence, whether it was asserted (True) or its negation was (False);
+    ``chosen`` holds the sentences added, the very objects the base was
+    given as assumptions.
     """
 
     base: Callable[[Sequence[Formula], Formula], bool]
     committed: tuple[tuple[Formula, bool], ...]
     next_index: int
+    chosen: tuple[Formula, ...]
 
     def committed_sentences(self) -> tuple[Formula, ...]:
         """The actual sentences added: f when asserted, ~f when negated."""
-        return tuple(f if asserted else Not(f) for f, asserted in self.committed)
+        return self.chosen
 
     @cached_property
     def _verdicts(self) -> dict[Formula, bool]:
         """Every processed f and ~f, mapped to whether it was added."""
         verdicts = {g: False for f, _ in self.committed for g in (f, Not(f))}
-        verdicts.update(dict.fromkeys(self.committed_sentences(), True))
+        verdicts.update(dict.fromkeys(self.chosen, True))
         return verdicts
 
     def decide(self, sentence: Formula) -> bool:
@@ -241,7 +244,7 @@ def henkin_complete(base: Callable[[Sequence[Formula], Formula], bool],
         keep_negation = base(tuple(chosen), negation)
         committed.append((sentence, not keep_negation))
         chosen.append(negation if keep_negation else sentence)
-    return CompletionState(base, tuple(committed), len(committed))
+    return CompletionState(base, tuple(committed), len(committed), tuple(chosen))
 
 
 def completeness_probe(decide: Callable[[Formula], bool],

@@ -15,9 +15,9 @@ so every index yields a sentence; ``enumerate_axioms`` is the host-side
 mirror of those enumerator programs, slot for slot.
 
 ``decide_order_theory`` decides truth in <N, 0, s, <> outright: tau atoms
-are first totalized to tautologies, then quantifiers are eliminated one at
-a time.  Formulas are flattened to disjunctions of difference constraints
-(val(u) < val(v) + c and friends, offsets in Z); an innermost existential
+are totalized to tautologies, and each quantifier is eliminated as soon as
+its body is translated.  A body is flattened to disjunctions of difference
+constraints (val(u) < val(v) + c and friends, offsets in Z); an existential
 then holds exactly when the interval cut out by the lower and upper bounds
 contains a point missing all the punctures, which reduces to finitely many
 candidate substitutions "greatest lower bound plus d".
@@ -63,7 +63,7 @@ from .fol import (
     conjoin_left,
     free_vars,
     parse_sentence,
-    walk,
+    uses_pi,
 )
 from .tpl import tau, template_source
 
@@ -315,38 +315,32 @@ def unknown(budget: int) -> Verdict:
 #     ("ne", u, v, c)          val(u) != val(v) + c
 #     ("and", parts)           every part holds (a tuple of two or more)
 #     ("or", parts)            some part holds (a tuple of two or more)
-#     ("ex", name, body)       some value of the bound name satisfies body
-#     ("all", name, body)      every value of the bound name satisfies body
 #
-# with True and False for decided nodes.  ``_atom`` folds a same-base atom to
-# its boolean, and ``_junction`` flattens nested junctions of its own tag and
-# folds constant parts by ``_UNITS``: the part value that decides the
-# junction, and the one it drops.  So ground formulas collapse as
-# elimination proceeds.  Every dual is written once, in ``_DUAL``; "lt" is
-# its own dual, with its sides swapped: not (u < v + c) iff v < u + (1 - c).
+# with True and False for decided nodes.  There are no quantifier nodes:
+# ``_to_internal`` eliminates each quantifier as soon as its body is
+# translated.  ``_atom`` folds a same-base atom to its boolean, and
+# ``_junction`` flattens nested junctions of its own tag and folds constant
+# parts by ``_UNITS``: the part value that decides the junction, and the one
+# it drops.  So ground formulas collapse as elimination proceeds.  Every
+# dual is written once, in ``_DUAL``, and applied by ``_neg``; "lt" is its
+# own dual, with its sides swapped: not (u < v + c) iff v < u + (1 - c).
 
 _ZERO = 0
 
 _DNF_TERM_CAP = 500_000
+_PI_ERROR = "pairing terms have no place in the order fragment"
 
-_DUAL = {"and": "or", "or": "and", "ex": "all", "all": "ex", "eq": "ne", "ne": "eq"}
+_DUAL = {"and": "or", "or": "and", "eq": "ne", "ne": "eq"}
 
 _UNITS = {"and": (False, True), "or": (True, False)}
 
-_JUNCTIONS = {And: ("and", False), Or: ("or", False), Imp: ("or", True)}   # tag, left negated
+_JUNCTIONS = {And: "and", Or: "or", Imp: "or"}      # Imp negates its left side
 
 
 def _atom(tag, u, v, c):
     if u != v:
         return (tag, u, v, c)
     return c > 0 if tag == "lt" else (c == 0) == (tag == "eq")
-
-
-def _dual_atom(tag, u, v, c):
-    """The atom that holds exactly when (tag, u, v, c) fails."""
-    if tag == "lt":
-        return _atom("lt", v, u, 1 - c)
-    return _atom(_DUAL[tag], u, v, c)
 
 
 def _junction(tag, parts):
@@ -374,50 +368,46 @@ def _base_offset(t: Term, names: dict[str, object]):
         return _ZERO, t.value + k
     if isinstance(t, Var):
         return names[t.name], k
-    raise UnsupportedTermError("pairing terms have no place in the order fragment")
+    raise UnsupportedTermError(_PI_ERROR)
 
 
-def _to_internal(f: Formula, positive: bool, names: dict[str, object], fresh) -> object:
-    """NNF over constraint atoms; binders renamed apart; tau totalized."""
+def _to_internal(f: Formula, names: dict[str, object], fresh) -> object:
+    """f without quantifiers, each eliminated once its body is translated."""
     kind = type(f)
     if kind is Tau:
-        return positive
+        return True
     if kind is Less or kind is Eq:
         a, i = _base_offset(f.left, names)
         b, j = _base_offset(f.right, names)
-        return (_atom if positive else _dual_atom)("lt" if kind is Less else "eq", a, b, j - i)
+        return _atom("lt" if kind is Less else "eq", a, b, j - i)
     if kind is Not:
-        return _to_internal(f.inner, not positive, names, fresh)
-    if kind in _JUNCTIONS:
-        tag, left_negated = _JUNCTIONS[kind]
-        parts = (_to_internal(f.left, positive != left_negated, names, fresh),
-                 _to_internal(f.right, positive, names, fresh))
-        return _junction(tag if positive else _DUAL[tag], parts)
-    if kind is Iff:
-        # only a side with quantifiers is translated twice (fresh names in order)
-        sides = []
-        for side in (f.left, f.right):
-            p = _to_internal(side, True, names, fresh)
-            quantified = any(isinstance(n, (Forall, Exists)) for n in walk(side))
-            sides += p, _to_internal(side, False, names, fresh) if quantified else _neg_qf(p)
-        pl, nl, pr, nr = sides
-        if positive:
-            return _junction("and", (_junction("or", (nl, pr)), _junction("or", (nr, pl))))
-        return _junction("or", (_junction("and", (pl, nr)), _junction("and", (pr, nl))))
+        return _neg(_to_internal(f.inner, names, fresh))
+    if kind in _JUNCTIONS or kind is Iff:
+        left = _to_internal(f.left, names, fresh)
+        right = _to_internal(f.right, names, fresh)
+        if kind is Iff:
+            return _junction("and", (_junction("or", (_neg(left), right)),
+                                     _junction("or", (_neg(right), left))))
+        return _junction(_JUNCTIONS[kind], (_neg(left) if kind is Imp else left, right))
     if kind is Forall or kind is Exists:
         inner_name = next(fresh)
-        body = _to_internal(f.body, positive, {**names, f.var: inner_name}, fresh)
-        tag = "ex" if kind is Exists else "all"
-        return (tag if positive else _DUAL[tag], inner_name, body)
+        body = _to_internal(f.body, {**names, f.var: inner_name}, fresh)
+        if kind is Exists:
+            return _eliminate(inner_name, body)
+        return _neg(_eliminate(inner_name, _neg(body)))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _neg_qf(node):
+def _neg(node):
+    """The quantifier-free node that holds exactly when node fails."""
     if type(node) is not tuple:
         return not node
-    if node[0] in ("and", "or"):
-        return _junction(_DUAL[node[0]], [_neg_qf(p) for p in node[1]])
-    return _dual_atom(*node)
+    tag = node[0]
+    if tag == "lt":
+        return ("lt", node[2], node[1], 1 - node[3])
+    if tag in _UNITS:
+        return _junction(_DUAL[tag], [_neg(p) for p in node[1]])
+    return (_DUAL[tag],) + node[1:]
 
 
 def _bkey(base):
@@ -622,24 +612,19 @@ def _eliminate(x, qf):
     return _junction("or", parts)
 
 
-def _qe(node):
-    if type(node) is not tuple or node[0] in ("lt", "eq", "ne"):
-        return node
-    tag = node[0]
-    if tag == "ex":
-        return _eliminate(node[1], _qe(node[2]))
-    if tag == "all":
-        return _neg_qf(_eliminate(node[1], _neg_qf(_qe(node[2]))))
-    return _junction(tag, [_qe(p) for p in node[1]])
-
-
 def order_truth(sentence: Formula) -> bool:
     """Truth of a pi-free sentence in <N, 0, s, <>, tau atoms totalized."""
     names = free_vars(sentence)
     if names:
         raise FreeVariableError(names)
     fresh = (f"v{i}" for i in itertools.count())
-    result = _qe(_to_internal(sentence, True, {}, fresh))
+    try:
+        result = _to_internal(sentence, {}, fresh)
+    except RuntimeError:
+        # a pairing term anywhere outranks the size cap, whatever its place
+        if uses_pi(sentence):
+            raise UnsupportedTermError(_PI_ERROR) from None
+        raise
     if result is not True and result is not False:
         raise AssertionError("elimination left a non-ground residue")
     return result

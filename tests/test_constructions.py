@@ -10,6 +10,7 @@ counts.
 """
 
 import hashlib
+import operator
 
 import pytest
 
@@ -195,6 +196,32 @@ def test_completion_decides_each_sentence_once(monkeypatch):
         henkin_complete(order_extension_derives, corpus, 50)
         assert len(asked) == 51
         assert asked == [CONTRADICTION] + [Not(f) for f in corpus]
+
+
+def test_committed_sentences_are_the_objects_the_base_was_given():
+    given = []
+
+    def recorded(assumptions, goal):
+        given.append((assumptions, goal))
+        return order_extension_derives(assumptions, goal)
+
+    corpus = random_order_sentences(60, seed=23)
+    chosen = henkin_complete(recorded, corpus, 60).committed_sentences()
+    assert len(chosen) == 60
+    for assumptions, _ in given:
+        assert all(map(operator.is_, assumptions, chosen))
+    negation = given[-1][1]
+    assert chosen[-1] is negation or chosen[-1] is negation.inner is corpus[-1]
+
+
+def test_consistency_after_a_completion_decides_the_contradiction_alone(monkeypatch):
+    corpus = random_order_sentences(200, seed=2026)
+    state = henkin_complete(order_extension_derives, corpus, 200)
+    asked = []
+    real = theories.order_truth
+    monkeypatch.setattr(theories, "order_truth", lambda f: asked.append(f) or real(f))
+    assert not order_extension_derives(state.committed_sentences(), CONTRADICTION)
+    assert asked == [CONTRADICTION]
 
 
 @pytest.mark.parametrize("seed, count", [(2026, 200), (0, 60), (1, 60), (7, 60), (11, 60)])

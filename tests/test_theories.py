@@ -29,7 +29,7 @@ from taulab.theories import (
     order_truth, segment_axiom, segment_axiom_index, tau_atom, theory_S,
     theory_T, theory_by_name, unknown,
 )
-from taulab.theories import _qe, _to_internal
+from taulab.theories import _to_internal
 from taulab.tpl import Machine, output_code, parse_program, template_source
 
 HALTER = program_code("halt;")
@@ -462,7 +462,7 @@ def test_frozen_eliminator_residues():
         open_bodies += bool(names)
         for positive in (True, False):
             fresh = (f"v{i}" for i in itertools.count())
-            h.update(repr(_qe(_to_internal(body, positive, names, fresh))).encode())
+            h.update(repr(_to_internal(body if positive else Not(body), names, fresh)).encode())
         h.update(b"T" if order_truth(sentence) else b"F")
     assert (open_bodies, h.hexdigest()[:16]) == (1158, "3f1baa2b5676cc65")
 
@@ -483,6 +483,31 @@ def test_iff_chain_translation_is_linear(monkeypatch, n):
     monkeypatch.setattr(theories, "_to_internal", counted)
     assert order_truth(parse_sentence(" <-> ".join(["0 < #1"] * n))) is True
     assert calls == 2 * n - 1
+
+
+@pytest.mark.parametrize("text, quantifiers", [
+    ("(E x. x < #1) <-> (E y. y < #2)", 2),
+    ("A z. ((E x. x < z) <-> (E y. s(y) = z))", 3),
+])
+def test_each_quantifier_is_eliminated_once(monkeypatch, text, quantifiers):
+    # each side of <-> is translated once, so its quantifiers are too
+    import taulab.theories as theories
+    eliminated = []
+    eliminate = theories._eliminate
+    monkeypatch.setattr(theories, "_eliminate",
+                        lambda x, qf: eliminated.append(x) or eliminate(x, qf))
+    assert order_truth(parse_sentence(text)) is True
+    assert len(eliminated) == quantifiers
+
+
+def test_a_pairing_term_outranks_an_earlier_size_overflow(monkeypatch):
+    import taulab.theories as theories
+    monkeypatch.setattr(theories, "_DNF_TERM_CAP", 1)
+    left = "E x. ((x < #5 | #6 < x) & (x < #7 | #8 < x))"
+    with pytest.raises(RuntimeError):
+        order_truth(parse_sentence(left))
+    with pytest.raises(UnsupportedTermError):
+        order_truth(parse_sentence(f"({left}) & pi(0, 0) = 0"))
 
 
 def _with_records(f: Formula, rng: random.Random, scope: list[str]) -> Formula:
