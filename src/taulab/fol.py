@@ -6,10 +6,10 @@ binary function pi (the quadratic pairing polynomial).  Numerals are kept as
 literal ``Num`` nodes: the canonical form never wraps a numeral in ``Succ``,
 so ``s(#2)`` parses straight to ``#3``.
 
-Concrete syntax (ASCII), fixed here and documented in docs/fol_grammar.md:
+Concrete syntax, fixed here and documented in docs/fol_grammar.md:
 
     term     :=  0  |  #<decimal>  |  s(term)  |  pi(term,term)  |  ident
-    ident    :=  [a-z][a-z0-9_]*        ("s", "pi", "tau" are reserved)
+    ident    :=  lower (lower | digit | _)*  (str.islower/isdigit; s, pi, tau reserved)
     atom     :=  term < term  |  term = term  |  term <= term  |  term > term
               |  tau(term, term, term)
     formula  :=  atom  |  ~f  |  f & f  |  f | f  |  f -> f  |  f <-> f
@@ -24,6 +24,8 @@ sugar disappears at parse time and the printer never reintroduces it.
 Equality, hashing, printing and variable scans are iterative on the deep
 spines (long right-nested disjunction chains occur in generated axioms),
 and parsing at every depth, so they stay safe far beyond Python's stack.
+Printing and substitution peel a successor run in one loop, ``_peel``, so
+they recurse on terms only once per pi level.
 """
 
 from __future__ import annotations
@@ -163,6 +165,16 @@ def succ(term: Term, times: int = 1) -> Term:
     for _ in range(times):
         term = Succ(term)
     return term
+
+
+def _peel(term: Term) -> tuple[Term, int]:
+    """``(core, k)`` with ``term == succ(core, k)`` and ``core`` not a Succ:
+    the one loop over a successor run."""
+    k = 0
+    while type(term) is Succ:
+        term = term.inner
+        k += 1
+    return term, k
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -313,7 +325,8 @@ def _substitute_term(t: Term, var: str, replacement: Term) -> Term:
     if isinstance(t, Num):
         return t
     if isinstance(t, Succ):
-        return succ(_substitute_term(t.inner, var, replacement))
+        core, k = _peel(t)
+        return succ(_substitute_term(core, var, replacement), k)
     if isinstance(t, Pi):
         return Pi(_substitute_term(t.left, var, replacement),
                   _substitute_term(t.right, var, replacement))
@@ -369,7 +382,8 @@ def format_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Succ):
-        return f"s({format_term(t.inner)})"
+        core, k = _peel(t)
+        return f"{'s(' * k}{format_term(core)}{')' * k}"
     if isinstance(t, Pi):
         return f"pi({format_term(t.left)},{format_term(t.right)})"
     raise TypeError(f"not a term: {t!r}")

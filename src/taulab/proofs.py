@@ -37,8 +37,8 @@ from functools import lru_cache
 from .codec import decode_program_code, pair, program_code, unpair
 from .fol import (
     And, Eq, Exists, FolError, Forall, Formula, Iff, Imp, Less, Node, Not,
-    Num, Or, Pi, Succ, Tau, Var, format_formula, free_vars, parse_formula,
-    _APPLIED, substitute, succ,
+    Num, Or, Pi, Succ, Tau, Term, Var, format_formula, free_vars,
+    parse_formula, _APPLIED, _peel, substitute, succ,
 )
 from .tpl import output_code, run_code
 
@@ -108,39 +108,25 @@ T, U, V, A, B = _Meta(), _Meta(), _Meta(), _Meta(), _Meta()
 X = _Meta()  # binds the variable name of a quantifier
 
 
-def _candidate_terms(body: Node, result: Node, var: str) -> list:
-    """Terms that may have been substituted for ``var`` when turning
-    ``body`` into ``result`` (candidates only; callers verify exactly)."""
-    found: list = []
+def _witness(body: Node, result: Node, var: str) -> Term:
+    """The one term that can have been substituted for ``var`` to turn
+    ``body`` into ``result``: in an instance every free occurrence of
+    ``var`` holds it, so it is read off the first one met (through the
+    successor runs on both sides).  ``Var(var)`` when none is met."""
     stack: list[tuple[Node, Node, bool]] = [(body, result, True)]
     while stack:
         a, b, active = stack.pop()
+        d = e = 0
+        if type(a) is Succ:
+            (a, d), (b, e) = _peel(a), _peel(b)
         if isinstance(a, Var):
-            if active and a.name == var and isinstance(b, (Num, Var, Succ, Pi)):
-                found.append(b)
-            continue
-        if isinstance(a, Succ):
-            depth = 0
-            core = a
-            while isinstance(core, Succ):
-                depth += 1
-                core = core.inner
-            if active and isinstance(core, Var) and core.name == var:
+            if active and a.name == var:
                 if isinstance(b, Num):
-                    if b.value >= depth:
-                        found.append(Num(b.value - depth))
-                else:
-                    peeled = b
-                    k = 0
-                    while isinstance(peeled, Succ) and k < depth:
-                        peeled = peeled.inner
-                        k += 1
-                    if k == depth:
-                        found.append(peeled)
-            elif isinstance(b, Succ):
-                stack.append((a.inner, b.inner, active))
-            continue
-        if type(a) is type(b):
+                    if b.value >= d:
+                        return Num(b.value - d)
+                elif isinstance(b, Term) and e >= d:
+                    return succ(b, e - d)
+        elif type(a) is type(b):
             if isinstance(a, (Forall, Exists)):
                 stack.append((a.body, b.body, active and a.var != var))
             else:
@@ -148,17 +134,13 @@ def _candidate_terms(body: Node, result: Node, var: str) -> list:
                     va = getattr(a, name)
                     if isinstance(va, Node):
                         stack.append((va, getattr(b, name), active))
-    return found
-
-
-def _is_substitution_instance(body: Formula, var: str, result: Formula) -> bool:
-    candidates = _candidate_terms(body, result, var)
-    candidates.append(Var(var))
-    return any(substitute(body, var, t) == result for t in candidates)
+    return Var(var)
 
 
 def _substitution_instance(b) -> bool:
-    return _is_substitution_instance(b[P], b[X], b[R])
+    """Whether R is P with some term put for the variable X."""
+    body, var, result = b[P], b[X], b[R]
+    return substitute(body, var, _witness(body, result, var)) == result
 
 
 # One row per schema, in schema-id order: (name, shape, side condition).

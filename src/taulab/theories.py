@@ -60,6 +60,7 @@ from .fol import (
     Tau,
     Term,
     Var,
+    _peel,
     conjoin_left,
     free_vars,
     parse_sentence,
@@ -361,9 +362,8 @@ def _junction(tag, parts):
 
 def _base_offset(t: Term, names: dict[str, object]):
     k = 0
-    while isinstance(t, Succ):
-        k += 1
-        t = t.inner
+    if type(t) is Succ:
+        t, k = _peel(t)
     if isinstance(t, Num):
         return _ZERO, t.value + k
     if isinstance(t, Var):
@@ -689,10 +689,7 @@ def _profile(f: Formula, memo: dict) -> tuple[int, int, int, bool]:
         node = stack.pop()
         kind = type(node)
         if kind is Succ:
-            run = 0
-            while type(node) is Succ:
-                run += 1
-                node = node.inner
+            node, run = _peel(node)
             if run > max_run:
                 max_run = run
             stack.append(node)
@@ -725,9 +722,8 @@ def _free_in(f: Formula, memo: dict) -> frozenset[str]:
 
 def _term_value(t: Term, env: dict[str, int]) -> int:
     k = 0
-    while isinstance(t, Succ):
-        k += 1
-        t = t.inner
+    if type(t) is Succ:
+        t, k = _peel(t)
     if isinstance(t, Num):
         return t.value + k
     if isinstance(t, Var):

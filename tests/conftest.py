@@ -1,10 +1,13 @@
 """Shared test helpers: a deterministic sentence generator for the order
 fragment (closed, pi-free, tau-free), used to cross-check the eliminator
-against the scan-based evaluator."""
+against the scan-based evaluator, and a runner for scripts that must work
+at Python's default recursion limit."""
 
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 from taulab.fol import And, Eq, Exists, Forall, Iff, Imp, Less, Not, Num, Or, Var, succ
 
@@ -56,3 +59,11 @@ def random_order_sentences(count: int, seed: int = 0) -> list:
             num_cap, chain_cap = 5, 1
         out.append(_order_formula(rng, [], qdepth, rng.randrange(4), num_cap, chain_cap))
     return out
+
+
+def _at_the_default_recursion_limit(*lines):
+    """Run ``lines`` as a script in a fresh interpreter that imports taulab
+    (which raises the recursion limit) and then sets it back to 1000."""
+    script = "\n".join(["import sys", "import taulab", "sys.setrecursionlimit(1000)", *lines])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]

@@ -8,11 +8,10 @@ pinned.  The printer/parser pair must reproduce them byte for byte.
 import hashlib
 import random
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import _at_the_default_recursion_limit
 from hypothesis import given, settings, strategies as st
 
 from taulab.fol import (
@@ -75,6 +74,30 @@ def test_non_ascii_digits_are_syntax_errors(text):
 def test_bare_digit_runs_keep_their_message():
     with pytest.raises(FolSyntaxError, match="bare number '0\xb2'"):
         parse_formula("0\xb2 = 0")
+
+
+# A name starts at any character that str.islower accepts and goes on over
+# islower, isdigit and '_'; these pins would move if names were scanned by a
+# pattern over [a-z].  Each row: the text, then its variable name or its error.
+@pytest.mark.parametrize("text, outcome", [
+    ("\xe9 = 0", "\xe9"),                                  # e acute, lower case
+    ("\xaa = 0", "\xaa"),                                  # feminine ordinal, lower case
+    ("x\xe9 = 0", "x\xe9"),
+    ("x\xb2 = 0", "x\xb2"),                                # superscript two, a digit
+    ("x\u03a9 = 0", "unexpected character '\u03a9' (line 1, column 2)"),  # capital omega
+    ("x\xbd = 0", "unexpected character '\xbd' (line 1, column 2)"),      # one half
+    ("\u03a9 = 0", "unexpected character '\u03a9' (line 1, column 1)"),
+    ("\u4e2d = 0", "unexpected character '\u4e2d' (line 1, column 1)"),    # a CJK ideograph
+    ("A\xb2 . 0 = 0", "unexpected character 'A' (line 1, column 1)"),
+])
+def test_non_ascii_names(text, outcome):
+    try:
+        got = parse_formula(text)
+    except FolSyntaxError as error:
+        assert str(error) == outcome
+    else:
+        assert got == Eq(Var(outcome), Num(0))
+        assert format_formula(got) == text
 
 
 def test_numeral_validation():
@@ -396,27 +419,19 @@ def test_deep_successor_nesting_parses():
 
 def test_negation_runs_round_trip_at_the_default_recursion_limit():
     # a run of ~ is counted, not recursed, by the parser and by the printer
-    script = "\n".join([
-        "import sys",
-        "import taulab",
-        "sys.setrecursionlimit(1000)",
+    _at_the_default_recursion_limit(
         "from taulab.fol import format_formula, parse_formula",
         "f = parse_formula('~' * 30000 + '0 = 0')",
         "text = format_formula(f)",
         "assert text == '~' * 30000 + '(0 = 0)', text[-20:]",
         "assert parse_formula(text) == f",
-    ])
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr[-2000:]
+    )
 
 
 def test_deep_nesting_parses_at_the_default_recursion_limit():
     # parentheses, argument lists and bounded quantifier prefixes open
     # frames on the parser's own stack, not Python's
-    script = "\n".join([
-        "import sys",
-        "import taulab",
-        "sys.setrecursionlimit(1000)",
+    _at_the_default_recursion_limit(
         "from taulab.fol import Eq, Forall, Num, Succ, Var, parse_formula",
         "f = parse_formula('s(' * 50000 + 'x' + ')' * 50000 + ' = 0')",
         "t, depth = f.left, 0",
@@ -427,9 +442,27 @@ def test_deep_nesting_parses_at_the_default_recursion_limit():
         "depth = 0",
         "while isinstance(f, Forall): f, depth = f.body.right, depth + 1",
         "assert (depth, f) == (3000, Eq(Var('x'), Num(0))), depth",
-    ])
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr[-2000:]
+    )
+
+
+def test_deep_successor_runs_at_the_default_recursion_limit():
+    # a successor run is peeled by one loop in printing, substitution, the
+    # decider, the evaluator and the proof checker; term walks recurse only
+    # per pi level
+    _at_the_default_recursion_limit(
+        "from taulab.fol import Eq, Num, Var, format_formula, parse_formula, substitute, succ",
+        "from taulab.proofs import schema_matches",
+        "from taulab.theories import TRUE_IN_STD, eval_std, order_truth",
+        "run = 's(' * 50000 + 'x' + ')' * 50000",
+        "f = parse_formula(run + ' = 0')",
+        "assert parse_formula(format_formula(f)) == f",
+        "assert substitute(f, 'x', Num(3)) == Eq(Num(50003), Num(0))",
+        "assert substitute(f, 'x', Var('y')) == Eq(succ(Var('y'), 50000), Num(0))",
+        "assert order_truth(parse_formula('A x. ' + run + ' = #50000 -> x = 0'))",
+        "assert eval_std(parse_formula('E x. ' + run + ' = #50002')) == TRUE_IN_STD",
+        "instance = '(A x. ' + run + ' = 0) -> ' + run.replace('x', 's(y)') + ' = 0'",
+        "assert schema_matches('forall-elim', parse_formula(instance))",
+    )
 
 
 # --------------------------------------------------------------------------

@@ -9,11 +9,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import subprocess
-import sys
 
 import pytest
-from conftest import random_order_sentences
+from conftest import _at_the_default_recursion_limit, random_order_sentences
 
 from taulab.codec import pair, program_code
 from taulab.fol import (
@@ -432,15 +430,10 @@ def test_eval_exact_on_doubling_gap_sentences():
 
 def test_eval_std_of_a_deep_segment_axiom_at_the_default_recursion_limit():
     # the quantifier profile walks a body with an explicit stack
-    script = "\n".join([
-        "import sys",
-        "import taulab",
-        "sys.setrecursionlimit(1000)",
+    _at_the_default_recursion_limit(
         "from taulab.theories import TRUE_IN_STD, eval_std, segment_axiom",
         "assert eval_std(segment_axiom(1200)) == TRUE_IN_STD",
-    ])
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr[-2000:]
+    )
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import _at_the_default_recursion_limit
 from hypothesis import given, settings, strategies as st
 
 from taulab.codec import nat_to_decimal, pair, program_code
@@ -523,12 +524,6 @@ def test_divergence():
 # stacks and work at any depth; expression closures nest once per level, and
 # the long sum and the nested calls work only because importing taulab
 # raises the recursion limit
-
-def _at_the_default_recursion_limit(*lines):
-    script = "\n".join(["import sys", "import taulab", "sys.setrecursionlimit(1000)", *lines])
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr[-2000:]
-
 
 def test_deep_parentheses_run_at_the_default_recursion_limit():
     _at_the_default_recursion_limit(
