@@ -24,6 +24,7 @@ sugar disappears at parse time and the printer never reintroduces it.
 Equality, hashing, printing and variable scans are iterative on the deep
 spines (long right-nested disjunction chains occur in generated axioms),
 and parsing at every depth, so they stay safe far beyond Python's stack.
+A hash is one flat pre-order pass over the tree.
 Printing and substitution peel a successor run in one loop, ``_peel``, so
 they recurse on terms only once per pi level.
 """
@@ -94,24 +95,21 @@ class Node:
         return True
 
     def __hash__(self):
-        memo: dict[int, int] = {}
-        stack: list[tuple[Node, bool]] = [(self, False)]
+        # each class has fixed fields, so the pre-order sequence of classes
+        # and non-node fields determines the tree
+        parts: list = []
+        stack: list[Node] = [self]
         while stack:
-            node, ready = stack.pop()
-            key = id(node)
-            if ready:
-                parts: list = [type(node).__name__]
-                for name in type(node).__match_args__:
-                    v = getattr(node, name)
-                    parts.append(memo[id(v)] if isinstance(v, Node) else v)
-                memo[key] = hash(tuple(parts))
-            elif key not in memo:
-                stack.append((node, True))
-                for name in type(node).__match_args__:
-                    v = getattr(node, name)
-                    if isinstance(v, Node):
-                        stack.append((v, False))
-        return memo[id(self)]
+            node = stack.pop()
+            cls = type(node)
+            parts.append(cls)
+            for name in cls.__match_args__:
+                v = getattr(node, name)
+                if isinstance(v, Node):
+                    stack.append(v)
+                else:
+                    parts.append(v)
+        return hash(tuple(parts))
 
     def __repr__(self):
         if isinstance(self, Term):
@@ -266,16 +264,16 @@ def free_vars(node: Node) -> frozenset[str]:
     stack: list[tuple[Node, frozenset[str]]] = [(node, frozenset())]
     while stack:
         n, bound = stack.pop()
-        if isinstance(n, Var):
+        cls = type(n)
+        if cls is Var:
             if n.name not in bound:
                 free.add(n.name)
-        elif isinstance(n, _QUANT):
+        elif cls is Forall or cls is Exists:
             stack.append((n.body, bound | {n.var}))
-        else:
-            for name in type(n).__match_args__:
-                v = getattr(n, name)
-                if isinstance(v, Node):
-                    stack.append((v, bound))
+        elif cls is not Num:
+            # past Var, Num and the quantifiers, every field is a node
+            for name in cls.__match_args__:
+                stack.append((getattr(n, name), bound))
     return frozenset(free)
 
 

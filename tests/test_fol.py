@@ -11,16 +11,16 @@ import re
 from pathlib import Path
 
 import pytest
-from conftest import _at_the_default_recursion_limit
+from conftest import _at_the_default_recursion_limit, random_order_sentences
 from hypothesis import given, settings, strategies as st
 
 from taulab.fol import (
     And, Eq, Exists, Forall, FolSyntaxError, FreeVariableError, Iff, Imp,
-    Less, Not, Num, Or, Pi, Succ, Tau, Var,
+    Less, Node, Not, Num, Or, Pi, Succ, Tau, Var,
     conjoin_left, disjoin_right, format_formula, format_term, free_vars,
     fresh_name, is_sentence, node_count, parse_formula, parse_sentence,
     parse_term, read_fol_text, rosser_sentence, substitute, succ,
-    uses_pi, uses_tau,
+    uses_pi, uses_tau, walk,
 )
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -448,13 +448,18 @@ def test_deep_nesting_parses_at_the_default_recursion_limit():
 def test_deep_successor_runs_at_the_default_recursion_limit():
     # a successor run is peeled by one loop in printing, substitution, the
     # decider, the evaluator and the proof checker; term walks recurse only
-    # per pi level
+    # per pi level.  Hashing and free_vars keep their own stacks, on deep
+    # runs and on long left chains alike (no left chain is printed here:
+    # printing one still recurses).
     _at_the_default_recursion_limit(
-        "from taulab.fol import Eq, Num, Var, format_formula, parse_formula, substitute, succ",
+        "from taulab.fol import Eq, Less, Num, Var, conjoin_left, format_formula, free_vars,"
+        " is_sentence, parse_formula, substitute, succ",
         "from taulab.proofs import schema_matches",
-        "from taulab.theories import TRUE_IN_STD, eval_std, order_truth",
+        "from taulab.theories import TRUE_IN_STD, eval_std, order_truth, segment_axiom",
         "run = 's(' * 50000 + 'x' + ')' * 50000",
         "f = parse_formula(run + ' = 0')",
+        "assert hash(f) == hash(parse_formula(run + ' = 0'))",
+        "assert free_vars(f) == {'x'}",
         "assert parse_formula(format_formula(f)) == f",
         "assert substitute(f, 'x', Num(3)) == Eq(Num(50003), Num(0))",
         "assert substitute(f, 'x', Var('y')) == Eq(succ(Var('y'), 50000), Num(0))",
@@ -462,6 +467,12 @@ def test_deep_successor_runs_at_the_default_recursion_limit():
         "assert eval_std(parse_formula('E x. ' + run + ' = #50002')) == TRUE_IN_STD",
         "instance = '(A x. ' + run + ' = 0) -> ' + run.replace('x', 's(y)') + ' = 0'",
         "assert schema_matches('forall-elim', parse_formula(instance))",
+        "a = conjoin_left([Less(Var('x'), Num(i)) for i in range(10000)])",
+        "b = conjoin_left([Less(Var('x'), Num(i)) for i in range(10000)])",
+        "assert a is not b and hash(a) == hash(b) and a == b",
+        "assert free_vars(a) == free_vars(b) == {'x'}",
+        "g = segment_axiom(10_000)",
+        "assert hash(g) == hash(segment_axiom(10_000)) and is_sentence(g)",
     )
 
 
@@ -592,3 +603,62 @@ def test_substitution_eliminates_the_variable(f, name):
 def test_structural_equality_matches_text_equality(f):
     g = parse_formula(format_formula(f))
     assert g == f and hash(g) == hash(f)
+
+
+# --------------------------------------------------------------------------
+# free_vars against its generic form
+
+_QUANT = (Forall, Exists)
+
+
+# The scan before it dispatched on node class, kept verbatim as the
+# reference for the differential tests below.
+def _generic_free_vars(node: Node) -> frozenset[str]:
+    """Free variables of a term or formula."""
+    free: set[str] = set()
+    stack: list[tuple[Node, frozenset[str]]] = [(node, frozenset())]
+    while stack:
+        n, bound = stack.pop()
+        if isinstance(n, Var):
+            if n.name not in bound:
+                free.add(n.name)
+        elif isinstance(n, _QUANT):
+            stack.append((n.body, bound | {n.var}))
+        else:
+            for name in type(n).__match_args__:
+                v = getattr(n, name)
+                if isinstance(v, Node):
+                    stack.append((v, bound))
+    return frozenset(free)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas)
+def test_free_vars_agrees_with_the_reference_on_random_formulas(f):
+    for n in walk(f):
+        assert free_vars(n) == _generic_free_vars(n)
+
+
+def test_free_vars_agrees_with_the_reference_on_order_sentences():
+    open_nodes = 0
+    for sentence in random_order_sentences(300, seed=11):
+        for n in walk(sentence):
+            got = free_vars(n)
+            assert got == _generic_free_vars(n), format_formula(sentence)
+            open_nodes += bool(got)
+    assert open_nodes > 1000  # the subformulas reach bound variables
+
+
+@pytest.mark.parametrize("text, free", [
+    ("(A x. x = 0) & x < y", {"x", "y"}),
+    ("E y. A y. y < x", {"x"}),
+    ("A y. (E y. y = x) & y < z", {"x", "z"}),
+    ("A x. tau(x, pi(y, s(x)), z)", {"y", "z"}),
+    ("E z. pi(z, w) = s(pi(x, s(s(z))))", {"w", "x"}),
+    ("tau(pi(0, #3), s(u), 0) <-> A u. pi(u, u) < u", {"u"}),
+])
+def test_free_vars_agrees_with_the_reference_on_shadowing(text, free):
+    f = parse_formula(text)
+    assert free_vars(f) == _generic_free_vars(f) == free
+    for n in walk(f):
+        assert free_vars(n) == _generic_free_vars(n)
