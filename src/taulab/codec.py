@@ -98,19 +98,27 @@ def unpair(p: int) -> tuple[int, int] | None:
     A natural p is a pair exactly when, for s = isqrt(p), the residue
     p - s^2 does not exceed s; then n = p - s^2 and m = s - n.
     """
-    _check_nat(p)
-    s = isqrt(p)
-    n = p - s * s
-    if n > s:
-        return None
-    return n, s - n
+    if type(p) is not int or p < 0:  # a proof search unpairs every code it tries
+        _check_nat(p)
+    return _unpair(p)
 
 
 def in_pair_range(p: int) -> bool:
     """Whether ``p`` codes a pair."""
     _check_nat(p)
+    return _unpair(p) is not None
+
+
+def _unpair(p: int) -> tuple[int, int] | None:
+    global _last_unpair
+    if _last_unpair[0] == p:  # only a natural past _SMALL_BITS is remembered
+        return _last_unpair[1]
     s = isqrt(p)
-    return p - s * s <= s
+    n = p - s * s
+    parts = None if n > s else (n, s - n)
+    if p.bit_length() > _SMALL_BITS:
+        _last_unpair = (int(p), parts)
+    return parts
 
 
 # Program codes routinely run to hundreds of thousands of decimal digits,
@@ -139,13 +147,15 @@ def in_pair_range(p: int) -> bool:
 # 100 ms).  Only canonical texts are stored: one with a leading zero
 # denotes the same natural but is not what nat_to_decimal prints.  Both
 # values are immutable, so sharing them with every caller changes no
-# result.  The tuple is replaced whole, never changed in place.
+# result.  The tuple is replaced whole, never changed in place, as is the
+# (natural, result) unpair keeps for its last natural past _SMALL_BITS.
 
 _SMALL_BITS = 8192
 _SAFE_DIGITS = 2048
 _RECENT_SIZE = 4
 
 _recent: tuple[tuple[int, str], ...] = ()
+_last_unpair: tuple = (-1, None)  # both searchers of a race unpair one probe
 
 
 def _recall(side: int, key) -> tuple[int, str] | None:

@@ -114,6 +114,12 @@ def closed_tau_args(f: Formula) -> tuple[int, int, int] | None:
     return None
 
 
+# The atoms x = #i of every segment axiom, i = 0, 1, ..., grown on demand
+# and shared: nodes are immutable, so only each axiom's Or spine is new.
+_X = Var("x")
+_x_equals: list[Formula] = []
+
+
 def segment_axiom(k: int) -> Formula:
     """The sentence pinning the k-th initial segment of the order.
 
@@ -122,14 +128,12 @@ def segment_axiom(k: int) -> Formula:
     """
     if k < 0:
         raise ValueError("segment index must be a natural number")
-    x = Var("x")
-    if k == 0:
-        body = FALSUM
-    else:
-        body = Eq(x, Num(k - 1))
-        for i in range(k - 2, -1, -1):
-            body = Or(Eq(x, Num(i)), body)
-    return Forall("x", Iff(Less(x, Num(k)), body))
+    atoms = _x_equals
+    atoms.extend(Eq(_X, Num(i)) for i in range(len(atoms), k))
+    body = FALSUM if k == 0 else atoms[k - 1]
+    for i in range(k - 2, -1, -1):
+        body = Or(atoms[i], body)
+    return Forall("x", Iff(Less(_X, Num(k)), body))
 
 
 def segment_axiom_index(f: Formula) -> int | None:

@@ -131,6 +131,19 @@ class DigitLoop:
     loop: While
 
 
+@dataclass(frozen=True, slots=True)
+class SearchLoop:
+    """The searchers' proof-search loop, ``loop`` being that very ``While``,
+    with ``e`` and ``t`` literals or names other than ``c``::
+
+        while (1) { if (checkproof(e, c, t)) { halt; } c = c + 1; }
+
+    The machine runs it as one host loop, charging what the plain loop would.
+    """
+    c: str
+    loop: While
+
+
 @dataclass(frozen=True)
 class TplProgram:
     source: str
@@ -296,8 +309,15 @@ def _digit_loop_shape(v: str, d: str) -> While:
 
 
 def _recognise(loop: While):
-    """``loop`` as a DigitLoop when it has exactly the digit loop's shape."""
+    """``loop`` as a DigitLoop or a SearchLoop when it has exactly that shape."""
     cond, body = loop.cond, loop.body
+    if len(body) == 2 and type(body[0]) is If and type(body[1]) is Assign \
+            and type(body[0].cond) is Call and len(body[0].cond.args) == 3:
+        (e, _, t), c = body[0].cond.args, Name(body[1].name)
+        shape = While(Lit(1), (If(Call("checkproof", (e, c, t)), (Halt(),), ()),
+                               Assign(c.name, BinOp("+", c, Lit(1)))))
+        ok = {type(e), type(t)} <= {Lit, Name} and c not in (e, t) and loop == shape
+        return SearchLoop(c.name, loop) if ok else loop
     if type(cond) is not BinOp or type(cond.right) is not Name \
             or not body or type(body[0]) is not Assign:
         return loop
@@ -481,7 +501,8 @@ def _compile(body: tuple) -> tuple:
             head, loop = [len(placed)], stmt if type(stmt) is While else stmt.loop
             yes = [None] if loop.body else head
             placed.append((_branch, loop.cond, (yes, nxt)) if loop is stmt
-                          else (_digit_loop, stmt, (head, yes, nxt)))
+                          else (_digit_loop, stmt, (head, yes, nxt)) if type(stmt) is DigitLoop
+                          else (_search_loop, stmt, (head, yes, end)))
             blocks = (loop.body, head, yes),
         stack += [[b, 0, out, first] for b, out, first in blocks if b]
     end[0] = len(placed)
@@ -532,6 +553,42 @@ def _digit_loop(stmt: DigitLoop, head: int, body: int, out: int):
         m.steps = m.budget
         return head if r == 2 else body + r
     return digits
+
+
+def _search_loop(stmt: SearchLoop, head: int, body: int, end: int):
+    """The header of a search loop, whose body lies at ``body`` as the
+    ``if``, ``halt`` and the increment, running the whole loop in one host
+    loop when ``e``, ``c`` and ``t`` are naturals.  Each statement costs 1
+    step, the ``if`` then the checker's ``consumed``.  When the budget ends
+    before a statement, the run stands there; inside a check, at the ``if``.
+    """
+    name, args = stmt.c, stmt.loop.body[0].cond.args
+
+    def search(m, env):
+        values = [env.get(a.name) if type(a) is Name else a.value for a in args]
+        if any(type(v) is not int for v in values):
+            return body  # the plain if faults with its own text
+        (e, c, t), budget, check = values, m.budget, m._checkproof
+        try:
+            while m.steps < budget:
+                m.steps += 1
+                if check(e, c, t):
+                    if m.steps >= budget:
+                        return body + 1
+                    m.steps += 1
+                    return end
+                if m.steps >= budget:
+                    return body + 2
+                c += 1
+                env[name] = c
+                m.steps += 2
+                if m.steps > budget:
+                    m.steps = budget
+                    return head
+        except _OutOfBudget:
+            m.steps = budget
+        return body
+    return search
 
 
 # -- expressions: one closure per node, which evaluates every operand or

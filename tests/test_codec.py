@@ -361,3 +361,67 @@ def test_rosser_pair_prints_the_stream_once_and_never_parses_it(conversions):
     # one print of the stream code; both searcher lexes (and the artifact's
     # own decode of both searchers) find it in the memo
     assert conversions == {"to_text": 1, "to_nat": 0}
+
+
+# --------------------------------------------------------------------------
+# the unpair memo: the last natural past _SMALL_BITS bits and its result
+
+def _reference_unpair(p: int, s: int):
+    """unpair by its defining formula, given the root s of p."""
+    assert s * s <= p < (s + 1) * (s + 1)
+    n = p - s * s
+    return (n, s - n) if n <= s else None
+
+
+@pytest.fixture
+def unpair_counts(monkeypatch):
+    """Calls of codec.isqrt per argument, starting from an empty memo."""
+    monkeypatch.setattr(codec, "_last_unpair", (-1, None))
+    calls: dict[int, int] = {}
+    isqrt = codec.isqrt
+
+    def counted(n):
+        calls[n] = calls.get(n, 0) + 1
+        return isqrt(n)
+    monkeypatch.setattr(codec, "isqrt", counted)
+    return calls
+
+
+def test_unpair_memo_matches_the_reference(unpair_counts):
+    rng = random.Random(2 * codec._SMALL_BITS)
+    n, m = rng.getrandbits(3 * codec._SMALL_BITS), rng.getrandbits(3 * codec._SMALL_BITS)
+    # a big pair and a big non-pair (residue 2s > s), each with its root
+    roots = {pair(n, m): n + m, (n + m + 1) ** 2 - 1: n + m, 10: 3, 7: 2}
+    want = {p: _reference_unpair(p, s) for p, s in roots.items()}
+    assert list(want.values()) == [(n, m), None, (1, 2), None]
+    big_pair, big_miss, _, _ = roots
+    for p in (big_pair, big_miss, big_pair, big_pair, big_miss, big_miss, big_pair, 10, 7):
+        assert unpair(p) == want[p]
+        assert in_pair_range(p) == (want[p] is not None)
+
+
+def test_repeated_unpair_of_one_big_natural_takes_one_isqrt(unpair_counts):
+    p = pair(3 ** 20000, 5 ** 9000)
+    for _ in range(4):
+        assert unpair(p) == (3 ** 20000, 5 ** 9000) and in_pair_range(p)
+    assert unpair_counts == {p: 1}
+    miss = p + 3 ** 20000 + 5 ** 9000 + 1
+    assert unpair(miss) is None and not in_pair_range(miss) and unpair(miss) is None
+    assert unpair_counts == {p: 1, miss: 1}
+    assert codec._last_unpair == (miss, None)
+
+
+def test_unpair_memo_keeps_the_input_checks(unpair_counts):
+    p = pair(3 ** 20000, 1)
+    unpair(p)
+    for bad, shown in ((True, "True"), (-1, "-1"),
+                       (-(1 << 9999), "a negative 10000-bit integer"), (-p, None)):
+        for f in (unpair, in_pair_range):
+            with pytest.raises(CodecError) as err:
+                f(bad)
+            if shown is not None:
+                assert str(err.value) == f"value must be a natural number, got {shown}"
+    assert codec._last_unpair == (p, (3 ** 20000, 1))
+    assert unpair(7) is None and unpair(10) == (1, 2) and in_pair_range(0)
+    assert codec._last_unpair == (p, (3 ** 20000, 1))
+    assert unpair_counts == {p: 1, 7: 1, 10: 1, 0: 1}

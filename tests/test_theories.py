@@ -55,6 +55,23 @@ def test_segment_axiom_index_roundtrip():
         assert segment_axiom_index(segment_axiom(k)) == k
 
 
+def _fresh_segment_axiom(k: int) -> Formula:
+    """segment_axiom built with no shared node: the reference."""
+    body = FALSUM if k == 0 else disjoin_right([Eq(Var("x"), Num(i)) for i in range(k)])
+    return Forall("x", Iff(Less(Var("x"), Num(k)), body))
+
+
+def test_segment_axioms_share_their_atoms_and_equal_the_reference():
+    for k in (7, 3, 0, 12, 12, 1, 30, 5):  # the atom table grows out of order
+        f = segment_axiom(k)
+        assert f == _fresh_segment_axiom(k)
+        assert format_formula(f) == format_formula(_fresh_segment_axiom(k))
+        assert parse_sentence(format_formula(f)) == f
+    first, second = segment_axiom(9).body, segment_axiom(4).body
+    assert first.left.left is second.left.left  # the guard's x
+    assert first.right.right.left is second.right.right.left  # x = #1
+
+
 SEGMENT_IMPOSTORS = [
     "A x. (x < #2 <-> x = #1 | x = 0)",            # disjuncts out of order
     "A x. (x < #2 <-> x = 0)",                     # disjunct missing

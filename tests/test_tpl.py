@@ -20,12 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from taulab.codec import nat_to_decimal, pair, program_code
 import taulab
-from taulab.constructions import rosser_pair
+from taulab import codec
+from taulab.constructions import plant_axiom, rosser_pair
 from taulab.fol import format_formula
 from taulab.theories import ORDER_AXIOMS
 from taulab.tpl import (
     _BUILTINS, _lex,
-    DigitLoop, If, Machine, TemplateError, TplProgram, TplSyntaxError, While,
+    DigitLoop, If, Machine, SearchLoop, TemplateError, TplProgram, TplSyntaxError, While,
     instantiate_template, output_code,
     parse_program, program_from_code, run_code, tau, template_source,
 )
@@ -1085,3 +1086,150 @@ def test_every_template_digit_loop_is_recognised():
 ])
 def test_digit_loop_near_misses_stay_plain_loops(text):
     assert type(parse_program(text).body[0]) is While
+
+
+# --------------------------------------------------------------------------
+# the proof-search loop superinstruction
+
+_SEARCH_LOOP = "while (1) {{ if (checkproof({e}, c, {t})) {{ halt; }} c = c + 1{pad}; }}"
+
+
+def _search_and_twin(prefix: str, e: str = "e", t: str = "tc"):
+    """``prefix`` and the search loop, once as written and once as its twin,
+    whose increment adds ``+ 0``: the same loop, step for step, that the
+    recogniser must not match."""
+    loop, twin = (parse_program(f"{prefix} {_SEARCH_LOOP.format(e=e, t=t, pad=pad)}")
+                  for pad in ("", " + 0"))
+    assert type(loop.body[-1]) is SearchLoop and type(twin.body[-1]) is While
+    return loop, twin
+
+
+def _search_closures(program: TplProgram) -> int:
+    return sum(f.__qualname__ == "_search_loop.<locals>.search" for f in program.compiled)
+
+
+@pytest.fixture(scope="module")
+def planted_search(race_probe):
+    """The race's planted positive searcher, which halts at c = 10, and its
+    stream and target code, read from the searcher's own run."""
+    stream = program_code(template_source("enum_s"))
+    planted = plant_axiom(rosser_pair(stream).sentence, stream)
+    program = program_from_code(rosser_pair(planted).positive)
+    m = Machine(program, race_probe[1], 10 ** 6).run()
+    assert m.halted and m.env["c"] == 10  # pair(1, pair(1, 0)) cites axiom 0
+    return program, planted, m.env["tc"], m.steps
+
+
+def test_both_searcher_templates_end_in_a_search_loop():
+    names = sorted(p.stem for p in Path(taulab.__file__).parent.joinpath("templates").glob("*.tpl"))
+    for name in names:
+        body = parse_program(re.sub(r"\{\{[A-Z0-9_]+\}\}", "0", template_source(name))).body
+        found = [type(s) for s in body].count(SearchLoop)
+        assert found == (name in ("searcher", "kleene_searcher")), name
+        if found:
+            assert type(body[-1]) is SearchLoop and body[-1].c == "c"
+
+
+@pytest.mark.parametrize("e, t", [("e", "tc"), ("5", "tc"), ("e", "7"), ("5", "7")])
+def test_search_loops_over_literals_and_names_are_recognised(e, t):
+    _search_and_twin("", e, t)
+
+
+@pytest.mark.parametrize("text", [
+    "while (1) { if (taub(e, c, t)) { halt; } c = c + 1; }",
+    "while (1) { if (checkproof(e, c, t)) { halt; } c = c + 2; }",
+    "while (1) { if (checkproof(e, c, t)) { halt; } c = 1 + c; }",
+    "while (1) { if (checkproof(e, c, t)) { halt; } else { x = 1; } c = c + 1; }",
+    "while (1) { if (checkproof(e, c, t)) { halt; } c = c + 1; x = 1; }",
+    "while (1) { if (checkproof(e, c, t)) { x = 1; halt; } c = c + 1; }",
+    "while (c < 9) { if (checkproof(e, c, t)) { halt; } c = c + 1; }",
+    "while (2) { if (checkproof(e, c, t)) { halt; } c = c + 1; }",
+    "while (1) { if (checkproof(e, d, t)) { halt; } c = c + 1; }",
+    "while (1) { if (checkproof(c, c, t)) { halt; } c = c + 1; }",
+    "while (1) { if (checkproof(e, c, c)) { halt; } c = c + 1; }",
+    "while (1) { if (checkproof(e + 0, c, t)) { halt; } c = c + 1; }",
+    "while (1) { if (checkproof(e, c, tonat(t))) { halt; } c = c + 1; }",
+    "while (1) { if (checkproof(e, c, t) + 0) { halt; } c = c + 1; }",
+])
+def test_search_loop_near_misses_stay_plain_loops(text):
+    assert type(parse_program(text).body[0]) is While
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["honest", "planted"])
+@pytest.mark.parametrize("enum_as", ["name", "literal"])
+def test_search_loop_agrees_with_its_twin_at_every_budget(planted_search, race_probe, planted, enum_as):
+    _, planted_stream, planted_tc, _ = planted_search
+    if planted:
+        stream, tc = planted_stream, planted_tc
+    else:  # the honest positive searcher's stream and target, past its preamble
+        stream = program_code(template_source("enum_s"))
+        tc = Machine(race_probe[0]["pos"], race_probe[1], 150_000).run().env["tc"]
+    numeral = nat_to_decimal(stream)
+    prefix, e = ((f"e = {numeral}; tc = in; c = 0;", "e") if enum_as == "name"
+                 else ("tc = in; c = 0;", numeral))
+    loop, twin = _search_and_twin(prefix, e)
+    last = Machine(twin, tc, 10 ** 6).run().steps + 1 if planted else 400
+    for budget in range(last + 1):
+        got, want = Machine(loop, tc, budget).run(), Machine(twin, tc, budget).run()
+        assert _state(got) == _state(want), budget
+    assert got.halted == planted and got.env["c"] == (10 if planted else want.env["c"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_loop_resumes_as_its_twin(planted_search, seed):
+    _, stream, tc, _ = planted_search
+    loop, twin = _search_and_twin(f"e = {nat_to_decimal(stream)}; tc = in; c = 0;")
+    runs = Machine(loop, tc, 0), Machine(twin, tc, 0)
+    rng, budget = random.Random(seed), 0
+    while not runs[0].halted:
+        budget += rng.randrange(1, 40)
+        for m in runs:
+            m.budget = budget
+            m.run()
+        assert _state(runs[0]) == _state(runs[1]), budget
+    assert runs[0].env["c"] == 10
+
+
+def test_the_planted_searcher_halts_as_its_twin(planted_search, race_probe):
+    program, _, _, halt = planted_search
+    twin = parse_program(program.source.replace("c = c + 1;", "c = c + 1 + 0;"))
+    assert (_search_closures(program), _search_closures(twin)) == (1, 0)
+    for budget in (100_299, 100_300, 100_301, 100_302, 100_303, *range(halt - 4, halt + 2)):
+        got = Machine(program, race_probe[1], budget).run()
+        assert _state(got) == _state(Machine(twin, race_probe[1], budget).run()), budget
+    assert got.halted and got.steps == halt
+
+
+@pytest.mark.parametrize("prefix, fault", [
+    ("e = 5; c = 0;", "undefined variable 'tc'"),
+    ('e = 5; tc = "x"; c = 0;', "checkproof needs a natural, got a string"),
+    ("tc = 7; c = 0;", "undefined variable 'e'"),
+    ('e = "5"; tc = 7; c = 0;', "checkproof needs a natural, got a string"),
+    ("e = 5; tc = 7;", "undefined variable 'c'"),
+    ('e = 5; tc = 7; c = "0";', "checkproof needs a natural, got a string"),
+])
+def test_search_loop_faults_as_its_twin(prefix, fault):
+    loop, twin = _search_and_twin(prefix)
+    for budget in range(10):
+        got, want = Machine(loop, 0, budget).run(), Machine(twin, 0, budget).run()
+        assert _state(got) == _state(want), budget
+    assert got.fault == fault and got.steps == prefix.count(";") + 2
+
+
+def test_race_searchers_unpair_their_probe_once(race_probe, planted_search, monkeypatch):
+    """The race's cost guard, counted rather than timed: every searcher of a
+    race operation runs its last loop as one closure, and the four unpairings
+    of the shared probe take one square root between them."""
+    (programs, probe_input), planted = race_probe, planted_search[0]
+    monkeypatch.setattr(codec, "_last_unpair", (-1, None))
+    roots, isqrt = [], codec.isqrt
+
+    def counted(n):
+        roots.append(n == probe_input)
+        return isqrt(n)
+    monkeypatch.setattr(codec, "isqrt", counted)
+    for program, budget in ((planted, 10 ** 6), (programs["pos"], 150_000),
+                            (programs["neg"], 150_000)):
+        assert _search_closures(program) == 1
+        Machine(program, probe_input, budget).run()
+    assert roots.count(True) == 1
