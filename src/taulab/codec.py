@@ -145,10 +145,12 @@ def _unpair(p: int) -> tuple[int, int] | None:
 # (natural, text) entries, most recent first.  A hit is a plain == compare
 # (tens of microseconds for a 269k-digit text, against a conversion of over
 # 100 ms).  Only canonical texts are stored: one with a leading zero
-# denotes the same natural but is not what nat_to_decimal prints.  Both
-# values are immutable, so sharing them with every caller changes no
-# result.  The tuple is replaced whole, never changed in place, as is the
-# (natural, result) unpair keeps for its last natural past _SMALL_BITS.
+# denotes the same natural but is not what nat_to_decimal prints.  So a
+# text past _SAFE_DIGITS is looked up before it is validated, and a hit is
+# not rescanned.  Both values are immutable, so sharing them with every
+# caller changes no result.  The tuple is replaced whole, never changed in
+# place, as is the (natural, result) unpair keeps for its last natural past
+# _SMALL_BITS.
 
 _SMALL_BITS = 8192
 _SAFE_DIGITS = 2048
@@ -219,13 +221,14 @@ def _big_nat_to_decimal(n: int) -> str:
 
 def decimal_to_nat(text: str) -> int:
     """Natural denoted by a string of ASCII digits (any length)."""
+    if isinstance(text, str) and len(text) > _SAFE_DIGITS:
+        entry = _recall(1, text)
+        if entry is not None:
+            return entry[0]
     if not text or not text.isascii() or not text.isdigit():
         raise CodecError(f"not a decimal numeral: {text!r}")
     if len(text) <= _SAFE_DIGITS:
         return int(text)
-    entry = _recall(1, text)
-    if entry is not None:
-        return entry[0]
     n = _big_decimal_to_nat(text)
     if text[0] != "0":
         _remember((n, text))

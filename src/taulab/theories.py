@@ -35,7 +35,6 @@ them.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Optional
@@ -65,6 +64,7 @@ from .fol import (
     free_vars,
     parse_sentence,
     uses_pi,
+    walk,
 )
 from .tpl import tau, template_source
 
@@ -148,9 +148,13 @@ def segment_axiom_index(f: Formula) -> int | None:
     body = f.body.right
     if k == 0:
         return 0 if body == FALSUM else None
-    # one pass down the Or spine, allocating nothing: x = 0 | ... | x = #(k-1)
+    # one pass down the Or spine, allocating nothing: x = 0 | ... | x = #(k-1);
+    # an axiom segment_axiom built shares its atoms, so test identity first
+    atoms = _x_equals
+    n = len(atoms)
     for i in range(k - 1):
-        if type(body) is not Or or not _is_x_equals(body.left, i):
+        if type(body) is not Or or (i >= n or body.left is not atoms[i]) \
+                and not _is_x_equals(body.left, i):
             return None
         body = body.right
     return k if _is_x_equals(body, k - 1) else None
@@ -379,6 +383,10 @@ def _to_internal(f: Formula, names: dict[str, object], fresh) -> object:
     """f without quantifiers, each eliminated once its body is translated."""
     kind = type(f)
     if kind is Tau:
+        # a record's arguments are not translated, but must still be bound
+        for n in walk(f):
+            if type(n) is Var:
+                names[n.name]
         return True
     if kind is Less or kind is Eq:
         a, i = _base_offset(f.left, names)
@@ -618,15 +626,17 @@ def _eliminate(x, qf):
 
 def order_truth(sentence: Formula) -> bool:
     """Truth of a pi-free sentence in <N, 0, s, <>, tau atoms totalized."""
-    names = free_vars(sentence)
-    if names:
-        raise FreeVariableError(names)
     fresh = (f"v{i}" for i in itertools.count())
     try:
         result = _to_internal(sentence, {}, fresh)
-    except RuntimeError:
-        # a pairing term anywhere outranks the size cap, whatever its place
-        if uses_pi(sentence):
+    except (KeyError, TypeError, UnsupportedTermError, RuntimeError) as e:
+        # a free variable fails its lookup and outranks every other failure;
+        # a pairing term anywhere outranks the size cap, and a closed term
+        # passed as a sentence keeps its TypeError
+        names = free_vars(sentence)
+        if names:
+            raise FreeVariableError(names) from None
+        if not isinstance(e, TypeError) and uses_pi(sentence):
             raise UnsupportedTermError(_PI_ERROR) from None
         raise
     if result is not True and result is not False:
@@ -641,8 +651,10 @@ def decide_order_theory(sentence: Formula) -> Verdict:
 
 # The last assumption tuple known to be all true, and the sentence the last
 # goal's truth shows true: the goal, or the negated sentence of a false
-# negation (None otherwise).  Members are compared by identity; the memo
-# holds them, so no id is reused.
+# negation (None otherwise).  Both are compared by ==, the tuple as one
+# tuple comparison: a member identical to the remembered one matches without
+# a structural comparison, and an equal copy matches too, since truth
+# depends only on the formula.
 _known: tuple[tuple[Formula, ...], Optional[Formula]] = ((), None)
 
 
@@ -661,8 +673,8 @@ def order_extension_derives(assumptions: Iterable[Formula], goal: Formula) -> bo
     gamma = tuple(assumptions)
     prefix, told = _known if gamma else ((), None)
     extra = len(gamma) - len(prefix)
-    if (extra == 0 or extra == 1 and gamma[-1] is told) \
-            and all(map(operator.is_, gamma, prefix)):
+    if (extra == 0 or extra == 1 and gamma[-1] == told) \
+            and gamma[:len(prefix)] == prefix:
         truth = order_truth(goal)
         told = goal if truth else goal.inner if type(goal) is Not else None
         _known = gamma, told

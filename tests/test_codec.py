@@ -353,6 +353,35 @@ def test_memo_keeps_the_input_checks(empty_memo):
     assert type(decimal_to_nat(nat_to_decimal(type("Nat", (int,), {})(n + 1)))) is int
 
 
+class _CountedText(str):
+    """A text that counts how often it is scanned for digits."""
+
+    scans = 0
+
+    def isdigit(self):
+        type(self).scans += 1
+        return super().isdigit()
+
+
+def test_a_remembered_text_is_not_rescanned(empty_memo, monkeypatch):
+    monkeypatch.setattr(_CountedText, "scans", 0)
+    n = _big(5)
+    text = nat_to_decimal(n)
+    assert decimal_to_nat(_CountedText(text)) == n
+    assert _CountedText.scans == 0
+    other = _big(6)
+    assert decimal_to_nat(_CountedText(_reference_decimal(other))) == other
+    assert _CountedText.scans == 1
+    # a miss is validated as before, with the same message
+    for bad in (text + "a", "-" + text, text[:-1] + "\xb2", " " + text, text + "\n",
+                "", "-5", "+5", " 7", "1_0", "12a", "\u0661\u0662"):
+        for given in (bad, _CountedText(bad)):
+            with pytest.raises(CodecError) as err:
+                decimal_to_nat(given)
+            assert str(err.value) == f"not a decimal numeral: {given!r}"
+    assert decimal_to_nat(text) == n
+
+
 def test_rosser_pair_prints_the_stream_once_and_never_parses_it(conversions):
     from taulab.constructions import rosser_pair
     from taulab.tpl import template_source

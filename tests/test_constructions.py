@@ -47,6 +47,7 @@ from taulab.fol import (
     conjoin_left,
     format_formula,
     parse_formula,
+    parse_sentence,
     rosser_sentence,
 )
 from taulab.proofs import (
@@ -59,7 +60,7 @@ from taulab.proofs import (
     proof_to_code,
     prove_search,
 )
-from taulab import theories
+from taulab import constructions, theories
 from taulab.theories import (
     FALSUM,
     TRUE_IN_STD,
@@ -260,6 +261,49 @@ def test_memo_defeating_calls_answer_as_the_implication(case):
     answers = calls(order_extension_derives)
     assert answers == calls(_derives_by_implication)
     assert answers[-1] is last
+
+
+def test_equal_copies_of_the_known_sentences_answer_as_the_implication(monkeypatch):
+    # the remembered tuple is compared as a tuple: copies that are equal but
+    # not identical match it, and the goal is decided alone
+    corpus = random_order_sentences(30, seed=29)
+    chosen = henkin_complete(order_extension_derives, corpus, 30).committed_sentences()
+    goals = random_order_sentences(12, seed=31)
+    goals += [Not(f) for f in goals] + [CONTRADICTION, FALSUM, Not(FALSUM)]
+    asked = []
+    real = theories.order_truth
+    monkeypatch.setattr(theories, "order_truth", lambda f: asked.append(f) or real(f))
+    for goal in goals:
+        copies = tuple(parse_sentence(format_formula(f)) for f in chosen[:-1])
+        assert copies == chosen[:-1] and copies[0] is not chosen[0]
+        asked.clear()
+        assert order_extension_derives(copies, goal) is _derives_by_implication(copies, goal)
+        assert asked[0] is goal
+    # a copy of the sentence told true last matches too
+    copies = tuple(parse_sentence(format_formula(f)) for f in chosen)
+    order_extension_derives(chosen[:-1], Not(corpus[-1]))
+    asked.clear()
+    assert copies[-1] is not chosen[-1]
+    assert order_extension_derives(copies, CONTRADICTION) is False
+    assert asked[0] is CONTRADICTION
+
+
+def test_a_completion_scans_each_sentence_for_free_variables_once(monkeypatch):
+    # henkin_complete checks each sentence is closed; the decider finds free
+    # variables while it translates, without a scan of its own
+    scans = {}
+    for module in (constructions, theories):
+        def counted(node, real=module.free_vars, name=module.__name__):
+            scans[name] = scans.get(name, 0) + 1
+            return real(node)
+        monkeypatch.setattr(module, "free_vars", counted)
+    asked = []
+    real = theories.order_truth
+    monkeypatch.setattr(theories, "order_truth", lambda f: asked.append(f) or real(f))
+    corpus = random_order_sentences(60, seed=37)
+    henkin_complete(order_extension_derives, corpus, 60)
+    assert scans == {"taulab.constructions": 60}
+    assert len(asked) == 61
 
 
 def test_oracle_calls_between_stream_sentences_leave_commitments_alone():

@@ -119,6 +119,45 @@ def test_segment_near_misses_inside_the_spine(k):
     assert segment_axiom_index(segment(canon + [Eq(x, Num(k))])) is None
 
 
+def test_segment_index_by_shared_atoms_keeps_the_structural_answers():
+    k = 40
+    f = segment_axiom(k)
+    atoms = [f.body.right]
+    while type(atoms[-1]) is Or:
+        atoms[-1:] = [atoms[-1].left, atoms[-1].right]
+    extra = segment_axiom(k + 1).body.right
+    while type(extra) is Or:
+        extra = extra.right     # the shared x = #k
+
+    def segment(disjuncts, bound=k):
+        return Forall("x", Iff(Less(Var("x"), Num(bound)), disjoin_right(disjuncts)))
+
+    assert segment(atoms) == f and segment_axiom_index(segment(atoms)) == k
+    # an equal atom that is not the shared one is recognised structurally
+    for i in (0, 1, k // 2, k - 1):
+        copy = atoms[:i] + [Eq(Var("x"), Num(i))] + atoms[i + 1:]
+        assert segment_axiom_index(segment(copy)) == k
+    assert segment_axiom_index(segment([atoms[0], Eq(Var("x"), Num(1))], 2)) == 2
+    misses = {
+        "wrong last index": atoms[:-1] + [extra],
+        "wrong first index": [atoms[1]] + atoms[1:],
+        "wrong variable": atoms[:5] + [Eq(Var("y"), Num(5))] + atoms[6:],
+        "an Or for the atom": atoms[:5] + [Or(atoms[5], atoms[5])] + atoms[6:],
+        "an Or for the last atom": atoms[:-1] + [Or(atoms[-1], atoms[-1])],
+        "one disjunct extra": atoms + [extra],
+    }
+    for what, disjuncts in misses.items():
+        assert segment_axiom_index(segment(disjuncts)) is None, what
+    assert segment_axiom_index(segment([atoms[0]], 2)) is None
+    assert segment_axiom_index(segment(atoms, k + 1)) is None
+    # past the shared table only the structural test can answer
+    import taulab.theories as theories
+    m = len(theories._x_equals) + 3
+    beyond = [atoms[0]] + [Eq(Var("x"), Num(i)) for i in range(1, m)]
+    assert segment_axiom_index(segment(beyond, m)) == m
+    assert segment_axiom_index(segment(beyond[:-1] + [Eq(Var("x"), Num(m))], m)) is None
+
+
 # Recursive paths: these sizes work only because importing taulab raises the
 # recursion limit (each raises RecursionError at Python's default limit).
 
@@ -315,6 +354,75 @@ def test_decider_rejects_pairing_terms():
 def test_decider_requires_sentences():
     with pytest.raises(FreeVariableError):
         decide_order_theory(parse_formula("x = x"))
+
+
+# the decider finds a free variable while it translates; an open sentence
+# is refused with the same text whatever else is wrong with it
+OPEN_SENTENCES = [
+    ("x = x", "x"),
+    ("tau(x, 0, #5)", "x"),
+    ("A y. tau(y, z, 0)", "z"),
+    ("pi(x, 0) = 0", "x"),                  # outranks the pairing term
+    ("E y. pi(y, 0) = 0 & tau(w, y, 0)", "w"),
+    ("A x. (x < y -> E y. s(y) = x & z < y)", "y, z"),
+]
+
+
+@pytest.mark.parametrize("text, names", OPEN_SENTENCES)
+def test_decider_refuses_open_sentences_with_their_names(text, names):
+    for decide in (order_truth, decide_order_theory):
+        with pytest.raises(FreeVariableError) as raised:
+            decide(parse_formula(text))
+        assert str(raised.value) == f"sentence required, free variables: {names}"
+
+
+def test_a_term_passed_as_a_sentence_fails_as_before():
+    # a closed term is not a formula, pairing term or not; an open one is
+    # refused as open
+    closed = [Num(0), Pi(Num(0), Num(1)), Not(Pi(Num(0), Num(1)))]
+    for decide in (order_truth, decide_order_theory):
+        for t in closed:
+            with pytest.raises(TypeError, match="^not a formula: "):
+                decide(t)
+        for t, names in [(Var("x"), "x"), (Pi(Var("y"), Num(0)), "y")]:
+            with pytest.raises(FreeVariableError) as raised:
+                decide(t)
+            assert str(raised.value) == f"sentence required, free variables: {names}"
+
+
+def test_an_open_sentence_past_the_size_cap_is_refused_as_open(monkeypatch):
+    import taulab.theories as theories
+    monkeypatch.setattr(theories, "_DNF_TERM_CAP", 1)
+    left = "E x. ((x < #5 | #6 < x) & (x < #7 | #8 < x))"
+    with pytest.raises(RuntimeError):       # the cap fails before y is read
+        order_truth(parse_sentence(f"({left}) & 0 = 0"))
+    for decide in (order_truth, decide_order_theory):
+        with pytest.raises(FreeVariableError) as raised:
+            decide(parse_formula(f"({left}) & y = 0"))
+        assert str(raised.value) == "sentence required, free variables: y"
+
+
+def test_an_open_deep_negation_chain_is_refused_as_open():
+    # at the default limit the translation overflows before it meets x
+    _at_the_default_recursion_limit(
+        "from taulab.fol import FreeVariableError, parse_formula",
+        "from taulab.theories import decide_order_theory, order_truth",
+        "def chain(atom): return parse_formula('~(' * 3000 + atom + ')' * 3000)",
+        "try:",
+        "    order_truth(chain('0 = 0'))",
+        "    raise AssertionError('no overflow')",
+        "except RecursionError:",
+        "    pass",
+        "for decide in (order_truth, decide_order_theory):",
+        "    try:",
+        "        decide(chain('s(x) = 0'))",
+        "        raise AssertionError('decided')",
+        "    except FreeVariableError as e:",
+        "        assert str(e) == 'sentence required, free variables: x', e",
+    )
+    with pytest.raises(FreeVariableError) as raised:
+        order_truth(parse_formula("~(" * 3000 + "s(x) = 0" + ")" * 3000))
+    assert str(raised.value) == "sentence required, free variables: x"
 
 
 def test_decider_agrees_with_the_scan_oracle():
