@@ -1,24 +1,22 @@
 """The parsing core shared by the FOL and TPL front ends.
 
-Each front end scans its own tokens (``tokenize`` runs the line, column and
-blank skeleton around a per-language ``scan``) and parses them with a
-``Cursor``.  ``Cursor.expression`` is one operator-precedence loop over
-explicit stacks: an operand that opens a nested expression (a parenthesis,
-a quantifier body, an argument list) hands back an opener instead of
-recursing, so no parse nests Python calls per level of the text.
+A front end lexes with one master pattern, ``(skip)(?:(token|\\Z)|(.))``,
+run once over the whole text by ``re.split`` in C.  Each match gives four
+parts: the text before it that no match took (always empty), the blanks,
+the token (empty at the end of the text: EOF) and a lexical error.  A
+token is its text.  A lexical error anywhere wins over a parse error; an
+error's line and column come from the lengths of the parts before it.
+
+``Cursor.expression`` is one operator-precedence loop over explicit stacks:
+an operand that opens a nested expression (a parenthesis, a quantifier
+body, an argument list) hands back an opener instead of recursing, so no
+parse nests Python calls per level of the text.
 """
 
 from __future__ import annotations
 
-
-class Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+import re
+from functools import lru_cache
 
 
 class PositionedError(ValueError):
@@ -30,32 +28,9 @@ class PositionedError(ValueError):
         self.column = column
 
 
-def tokenize(text: str, scan, symbols: str) -> list[Token]:
-    """The tokens of ``text``, then EOF.  Line breaks, blanks and the
-    one-character ``symbols`` (kind = text) are read here, any other token by
-    ``scan(text, i, text[i], line, column)``: its kind (None for a comment),
-    value and end.  ``scan`` raises the front end's errors itself."""
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    line, line_start = 1, 0
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-        elif ch in " \t\r":
-            i += 1
-        elif ch in symbols:
-            tokens.append(Token(ch, ch, line, i - line_start + 1))
-            i += 1
-        else:
-            col = i - line_start + 1
-            kind, value, i = scan(text, i, ch, line, col)
-            if kind is not None:
-                tokens.append(Token(kind, value, line, col))
-    tokens.append(Token("EOF", None, line, n - line_start + 1))
-    return tokens
+@lru_cache(maxsize=64)
+def _master(skip: str, token, wide: str) -> re.Pattern:
+    return re.compile(f"({skip}) (?: ({token(wide)}\n | \\Z) | (.) )", re.VERBOSE)
 
 
 def then(got, finish):
@@ -67,32 +42,42 @@ def then(got, finish):
 
 
 class Cursor:
-    """A position in a token list; ``error`` is the front end's error class."""
+    """A position in the tokens of ``text``.  A front end sets ``error``;
+    ``skip``, the pattern before a token; ``token(wide)``, the token pattern
+    for a text whose non-ASCII characters are ``wide``, whose classes take
+    them by ``str`` predicates; ``value(token)`` for messages; and
+    ``lexical(offset)``, the message of the lexical error there."""
 
     error = PositionedError
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        wide = "" if text.isascii() else "".join(sorted(c for c in set(text) if not c.isascii()))
+        self.text = text
+        self.parts = _master(self.skip, self.token, wide).split(text)
+        self.tokens = self.parts[2::4]
         self.pos = 0
+        errors = self.parts[3::4]
+        if any(errors):
+            first = next(i for i, lexeme in enumerate(errors) if lexeme)
+            offset, line, column = self.where(4 * first + 3)
+            raise self.error(self.lexical(offset), line, column)
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def where(self, k: int) -> tuple[int, int, int]:
+        """The offset, line and column of part ``k``; token t is part 4t + 2."""
+        offset, text = sum(map(len, filter(None, self.parts[:k]))), self.text
+        return offset, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def expect(self, symbol: str, what: str | None = None):
+        """Step over ``symbol``; the empty one is EOF."""
+        token = self.tokens[self.pos]
+        if token != symbol:
+            self.fail(f"expected {what or repr(symbol)}, found {self.value(token)!r}")
         self.pos += 1
-        return tok
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            self.fail(f"expected {what or repr(kind)}, found {tok.value!r}")
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise self.error(message, tok.line, tok.column)
+    def fail(self, message: str, at: int | None = None):
+        """Raise ``message`` at token ``at``, the current one by default."""
+        _, line, column = self.where(4 * (self.pos if at is None else at) + 2)
+        raise self.error(message, line, column)
 
     def close(self, node):
         """The resume of a parenthesis: its ')' must follow."""
@@ -101,12 +86,13 @@ class Cursor:
 
     def expression(self, levels: dict, operand):
         """One expression: operands joined by the infix operators of ``levels``
-        (token kind -> (precedence, associativity, build); higher binds
+        (symbol -> (precedence, associativity, build); higher binds
         tighter; associativity "left", "right" or "none", where a second
         operator of that precedence ends the expression).  ``operand()``
         gives an operand's node or an opener (resume, levels, operand): the
         nested expression of that grammar is read next while the outer one
         waits on a stack, and ``resume(node)`` gives a node or an opener."""
+        tokens = self.tokens
         frames = []     # (resume, levels, operand, nodes, ops) of waiting expressions
         nodes, ops = [], []
         got = operand()
@@ -118,7 +104,7 @@ class Cursor:
                 got = operand()
                 continue
             nodes.append(got)
-            row = levels.get(self.tokens[self.pos].kind)
+            row = levels.get(tokens[self.pos])
             if row and row[1] == "none" and any(op[0] == row[0] for op in ops):
                 row = None
             prec, assoc, _ = row or (-1, None, None)   # no operator: reduce all

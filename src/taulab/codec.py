@@ -231,7 +231,9 @@ def decimal_to_nat(text: str) -> int:
         return int(text)
     n = _big_decimal_to_nat(text)
     if text[0] != "0":
-        _remember((n, text))
+        # a plain str, so that nat_to_decimal never hands out the caller's
+        # subclass object (str() would call an overridden __str__)
+        _remember((n, str.__str__(text)))
     return n
 
 

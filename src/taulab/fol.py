@@ -31,12 +31,13 @@ they recurse on terms only once per pi level.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import takewhile
 
-from ._syntax import Cursor, PositionedError, then, tokenize
-from .codec import decimal_to_nat, nat_to_decimal
+from ._syntax import Cursor, PositionedError, then
+from .codec import _SAFE_DIGITS, decimal_to_nat, nat_to_decimal
 
 __all__ = [
     "Term", "Num", "Var", "Succ", "Pi",
@@ -450,73 +451,85 @@ def format_formula(f: Formula) -> str:
 # --------------------------------------------------------------------------
 # parsing
 
-# The digits of a numeral are ASCII only; other characters that
-# str.isdigit accepts (such as the latin-1 superscripts) end the numeral.
-# A bare digit run is still scanned with str.isdigit, so that its error
-# message names the whole run.
-_DIGITS = re.compile(r"[0-9]*")
-
-# the symbols that start with '<' or '-'; every other symbol is one of the
-# one-character _SYMBOLS, and a symbol token's kind is its text
-_ANGLED = re.compile(r"<->|<=|<|->")
-_SYMBOLS = "(),.~&|=>"
-
-
-def _scan(text: str, i: int, ch: str, line: int, col: int):
-    if ch in "<-":
-        m = _ANGLED.match(text, i)
-        if m is None:
-            raise FolSyntaxError("stray '-' (did you mean '->')", line, col)
-        return m[0], m[0], m.end()
-    if ch == "#":
-        j = _DIGITS.match(text, i + 1).end()
-        if j == i + 1:
-            raise FolSyntaxError("'#' must be followed by digits", line, col)
-        return "NUM", decimal_to_nat(text[i + 1:j]), j
-    j = i + 1
-    if ch.isdigit():
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        if text[i:j] != "0":
-            raise FolSyntaxError(
-                f"bare number {text[i:j]!r}; numerals other than 0 are written #<digits>",
-                line, col)
-        return "NUM", 0, j
-    if ch.islower() or ch in "AE":  # a name, or a quantifier letter standing alone
-        while j < len(text) and (text[j].islower() or text[j].isdigit() or text[j] == "_"):
-            j += 1
-        if ch.islower():
-            return "IDENT", text[i:j], j
-        if j == i + 1:
-            return "QUANT", ch, j
-    raise FolSyntaxError(f"unexpected character {ch!r}", line, col)
+def _token(wide: str) -> str:
+    """The token pattern (see _syntax) for a text with non-ASCII characters
+    ``wide``: a name is an str.islower character, then islower or isdigit
+    ones or '_'; a numeral's digits are ASCII."""
+    lower = "".join(c for c in wide if c.islower())
+    digit = "".join(c for c in wide if c.isdigit())
+    return rf"""<-> | -> | <= | [<(),.~&|=>] | [AE](?![a-z0-9_{lower}{digit}])   # symbol
+        | [a-z{lower}] [a-z0-9_{lower}{digit}]*                              # name
+        | \#[0-9]+ | 0(?![0-9{digit}])                                      # numeral"""
 
 
-# infix token kind -> (precedence, associativity, node), for Cursor.expression
+# infix symbol -> (precedence, associativity, node), for Cursor.expression
 _LEVELS = {sym: (prec, "right", cls) for prec, (sym, cls) in enumerate(_CONNECTIVES)}
+_QUANTIFIERS = {"A": Forall, "E": Exists}
+
+
+class _Leaves(dict):
+    """A parse's one Var per name, by text.  A numeral is built at each use (few
+    repeat); any other text, a reserved name included, maps to None."""
+
+    def __missing__(self, text):
+        if text[:1] == "#":
+            return Num(decimal_to_nat(text[1:]))
+        leaf = self[text] = Var(text) if text[:1].islower() else Num(0) if text == "0" else None
+        return leaf
 
 
 class _Parser(Cursor):
     """Formulas are expressions over _LEVELS and ``operand``, terms over {} and ``term``."""
 
     error = FolSyntaxError
+    skip = r"[ \t\r\n]*"
+    token = staticmethod(_token)
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.leaves = _Leaves.fromkeys(("", *_APPLIED))
+
+    def value(self, token: str):
+        leaf = self.leaves[token]
+        return leaf.value if type(leaf) is Num else token or None
+
+    def lexical(self, offset: int) -> str:
+        """A digit run is read on over str.isdigit, superscripts included."""
+        ch = self.text[offset]
+        if ch == "-":
+            return "stray '-' (did you mean '->')"
+        if ch == "#":
+            return "'#' must be followed by digits"
+        if ch.isdigit():
+            run = "".join(takewhile(str.isdigit, self.text[offset:]))
+            return f"bare number {run!r}; numerals other than 0 are written #<digits>"
+        return f"unexpected character {ch!r}"
 
     def operand(self):
         """An atom, a parenthesized formula or a quantified one, after a run
-        of ~ that is counted, not recursed."""
-        start = self.pos
-        while self.tokens[self.pos].kind == "~":
-            self.pos += 1
-        run = self.pos - start
-        kind = self.tokens[self.pos].kind
-        if kind == "QUANT":
-            got = self.binders([])
-        elif kind == "(":
+        of ~ that is counted, not recursed.  An atom of two one-token terms,
+        most of a generated axiom, is built here in one step."""
+        tokens, pos, leaves = self.tokens, self.pos, self.leaves
+        left = leaves[tokens[pos]]
+        relation = left is not None and _RELATIONS.get(tokens[pos + 1])
+        right = tokens[pos + 2] if relation else ""
+        short = right[:1] == "#" and len(right) <= _SAFE_DIGITS  # int() reads it exactly
+        right = Num(int(right[1:])) if short else leaves[right]
+        if right is not None:
+            self.pos = pos + 3
+            return relation(left, right)
+        start = pos
+        while tokens[pos] == "~":
+            pos += 1
+        run = pos - start
+        self.pos = pos
+        if tokens[pos] == "(":
             self.pos += 1
             got = self.close, _LEVELS, self.operand
-        else:  # then() written out here and in relation: atoms are most of a parse
-            left = self.term(_APPLIED)
-            got = then(left, self.relation) if type(left) is tuple else self.relation(left)
+        elif tokens[pos] in _QUANTIFIERS:
+            got = self.binders([])
+        else:
+            got = then(self.term(_APPLIED), self.relation)
         if not run:
             return got
 
@@ -532,78 +545,84 @@ class _Parser(Cursor):
         if bounded:
             self.expect(".")
             binders.append(bounded)
-        while self.peek().kind == "QUANT":
-            cls = Forall if self.next().value == "A" else Exists
-            tok = self.expect("IDENT", "variable name")
-            name = tok.value
-            if name in _APPLIED:
-                self.fail(f"{name!r} is reserved and cannot be a variable", tok)
-            if self.peek().kind == "<":
+        tokens = self.tokens
+        while tokens[self.pos] in _QUANTIFIERS:
+            cls = _QUANTIFIERS[tokens[self.pos]]
+            self.pos += 1
+            name = tokens[self.pos]
+            var = self.leaves[name]
+            if type(var) is not Var:
+                if name in _APPLIED:
+                    self.fail(f"{name!r} is reserved and cannot be a variable")
+                self.fail(f"expected variable name, found {self.value(name)!r}")
+            self.pos += 1
+            if tokens[self.pos] == "<":
                 self.pos += 1
-                return (lambda bound: self.binders(binders, (cls, name, bound))), {}, self.term
+                return (lambda bound: self.binders(binders, (cls, var, bound))), {}, self.term
             self.expect(".")
-            binders.append((cls, name, None))
+            binders.append((cls, var, None))
 
         def bind(body):
-            for cls, name, bound in reversed(binders):
+            for cls, var, bound in reversed(binders):
                 if bound is not None:
-                    body = (Imp if cls is Forall else And)(Less(Var(name), bound), body)
-                body = cls(name, body)
+                    body = (Imp if cls is Forall else And)(Less(var, bound), body)
+                body = cls(var.name, body)
             return body
         return bind, _LEVELS, self.operand
 
     def relation(self, left: Term):
         """The atom whose left term is ``left``; a tau atom is whole."""
-        if isinstance(left, Tau):
+        if type(left) is Tau:
             return left
-        relation = _RELATIONS.get(self.peek().kind)
+        relation = _RELATIONS.get(self.tokens[self.pos])
         if relation is None:
             self.fail(f"expected a relation ({', '.join(_RELATIONS)}) after a term")
         self.pos += 1
         right = self.term()
         if type(right) is tuple:
-            return then(right, lambda right: relation(left, right))
+            return then(right, partial(relation, left))
         return relation(left, right)
 
     def term(self, heads=("s", "pi")):
         """A term, or an opener for the arguments of an applied name;
         ``heads`` are the applied names accepted here."""
-        tok = self.next()
-        if tok.kind == "NUM":
-            return Num(tok.value)
-        if tok.kind != "IDENT":
-            self.fail("expected a term", tok)
-        name = tok.value
+        pos = self.pos
+        name = self.tokens[pos]
+        self.pos = pos + 1
+        leaf = self.leaves[name]
+        if leaf is not None:
+            return leaf
         if name not in _APPLIED:
-            return Var(name)
-        if name not in heads or self.tokens[self.pos].kind != "(":
-            self.fail(f"{name!r} is reserved and cannot be a variable", tok)
-        self.pos += 1
-        build, arity = _APPLIED[name]
-        args: list[Term] = []
+            self.fail("expected a term", pos)
+        if name not in heads or self.tokens[pos + 1] != "(":
+            self.fail(f"{name!r} is reserved and cannot be a variable", pos)
+        self.pos = pos + 2
+        return partial(self.argument, name, []), {}, self.term
 
-        def resume(arg):
-            args.append(arg)
-            if len(args) < arity:
-                self.expect(",")
-                return opener
-            self.expect(")")
-            return build(*args)
-        opener = resume, {}, self.term
-        return opener
+    def argument(self, name: str, args: list, arg: Term):
+        """The resume of an argument list: the opener of the next argument, or
+        the node.  A partial, not a closure that names itself, so that a parse
+        leaves no reference cycle holding its parser and tokens."""
+        args.append(arg)
+        build, arity = _APPLIED[name]
+        if len(args) < arity:
+            self.expect(",")
+            return partial(self.argument, name, args), {}, self.term
+        self.expect(")")
+        return build(*args)
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(tokenize(text, _scan, _SYMBOLS))
+    parser = _Parser(text)
     t = parser.expression({}, parser.term)
-    parser.expect("EOF", "end of input")
+    parser.expect("", "end of input")
     return t
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(tokenize(text, _scan, _SYMBOLS))
+    parser = _Parser(text)
     f = parser.expression(_LEVELS, parser.operand)
-    parser.expect("EOF", "end of input")
+    parser.expect("", "end of input")
     return f
 
 

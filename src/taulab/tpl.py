@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from importlib import resources
 
-from ._syntax import Cursor, PositionedError, tokenize
+from ._syntax import Cursor, PositionedError
 from .codec import (decimal_to_nat, decode_program_code, in_pair_range,
                     nat_to_decimal, pair, program_code, unpair)
 
@@ -161,80 +161,72 @@ _KEYWORDS = {"if", "else", "while", "halt"}
 # --------------------------------------------------------------------------
 # lexer / parser
 
-# A symbol token's kind is its text.  "=" and "<" may start a two-character
-# symbol ("==", "<="), so the scanner reads them; tokenize reads the rest.
-_SYMBOLS = "+-*/%(){},;"
-
+# a string literal up to its closing quote: plain characters and escapes
+_STRING_HEAD = r'"[^"\\\n]*(?:\\[\\"nt][^"\\\n]*)*'
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
-# Numerals are ASCII digits only; other characters that str.isdigit accepts
-# (such as the latin-1 superscripts) are not numerals and fail to lex.
-_DIGITS = re.compile(r"[0-9]+")
-# \w is exactly str.isalnum or "_", the characters that continue a name
-_WORD = re.compile(r"\w*")
-# The characters of a string literal that stand for themselves; a spliced
-# axiom text runs to ~100 KB of them.
-_STRING_RUN = re.compile(r'[^"\\\n]*')
+def _token(wide: str) -> str:
+    """The token pattern (see _syntax) for a text with non-ASCII characters
+    ``wide``: a name is an str.isalpha character or '_', then \\w ones
+    (str.isalnum or '_'); a number's digits are ASCII, so a superscript
+    fails to lex."""
+    alpha = "".join(c for c in wide if c.isalpha())
+    return rf"""== | <= | [=<+\-*/%(){{}},;]    # symbol
+        | [A-Za-z_{alpha}] \w*               # name
+        | [0-9]+                            # number
+        | {_STRING_HEAD}"                   # string"""
 
 
-def _scan(text: str, i: int, ch: str, line: int, col: int):
-    if ch == "#":  # a comment, up to the newline
-        j = text.find("\n", i)
-        return None, None, len(text) if j < 0 else j
-    if ch in "=<":
-        two = text[i:i + 2]
-        return (two, two, i + 2) if two in ("==", "<=") else (ch, ch, i + 1)
-    if "0" <= ch <= "9":
-        j = _DIGITS.match(text, i).end()
-        return "NUMBER", decimal_to_nat(text[i:j]), j
-    if ch.isalpha() or ch == "_":
-        j = _WORD.match(text, i).end()
-        return "IDENT", text[i:j], j
-    if ch != '"':
-        raise TplSyntaxError(f"unexpected character {ch!r}", line, col)
-    j = i + 1
-    chars: list[str] = []
-    while True:
-        k = _STRING_RUN.match(text, j).end()
-        chars.append(text[j:k])
-        j = k
-        if j >= len(text) or text[j] == "\n":
-            raise TplSyntaxError("unterminated string literal", line, col)
-        if text[j] == '"':
-            return "STRING", "".join(chars), j + 1
-        esc = text[j + 1:j + 2]  # text[j] is a backslash
-        if esc not in _ESCAPES:
-            raise TplSyntaxError(f"bad escape \\{esc}", line, col)
-        chars.append(_ESCAPES[esc])
-        j += 2
+def _is_name(text: str) -> bool:
+    return text[:1].isalpha() or text[:1] == "_"
 
 
-_lex = partial(tokenize, scan=_scan, symbols=_SYMBOLS)
+def _literal(text: str):
+    """The value of a number or a string token, or None."""
+    if text[:1] == '"':
+        return re.sub(r"\\(.)", lambda m: _ESCAPES[m[1]], text[1:-1])
+    return decimal_to_nat(text) if "0" <= text[:1] <= "9" else None
 
 
 # the infix operators, loosest level first, with their associativity
 _INFIX = ((("<", "<=", "=="), "none"), (("+", "-"), "left"), (("*", "/", "%"), "left"))
-# infix token kind -> (precedence, associativity, node), for Cursor.expression
+# infix symbol -> (precedence, associativity, node), for Cursor.expression
 _LEVELS = {op: (prec, assoc, partial(BinOp, op))
            for prec, (ops, assoc) in enumerate(_INFIX) for op in ops}
 
 
 class _TplParser(Cursor):
     error = TplSyntaxError
+    skip = r"(?: [ \t\r\n]+ | \#[^\n]* )*"    # blanks and comments
+    token = staticmethod(_token)
+
+    def value(self, token: str):
+        value = _literal(token)
+        return token or None if value is None else value
+
+    def lexical(self, offset: int) -> str:
+        text = self.text
+        if text[offset] != '"':
+            return f"unexpected character {text[offset]!r}"
+        end = re.compile(_STRING_HEAD).match(text, offset).end()
+        if text[end:end + 1] == "\\":
+            return f"bad escape \\{text[end + 1:end + 2]}"
+        return "unterminated string literal"
 
     def program(self) -> tuple:
         """The statements up to EOF.  Each open block waits on a stack with
         the statement list it sits in and its header: the keyword, the
         condition and, for an else block, the then block."""
+        tokens = self.tokens
         stmts, blocks = [], []
         while True:
-            tok = self.next()
-            header = None
-            if tok.kind == "}" and blocks:
+            word, header = tokens[self.pos], None
+            self.pos += 1
+            if word == "}" and blocks:
                 body = tuple(stmts)
                 stmts, word, cond, then_block = blocks.pop()
-                if word == "if" and (self.peek().kind, self.peek().value) == ("IDENT", "else"):
+                if word == "if" and tokens[self.pos] == "else":
                     self.pos += 1
                     header = "else", cond, body
                 elif word == "while":
@@ -243,24 +235,24 @@ class _TplParser(Cursor):
                     stmts.append(If(cond, body, ()))
                 else:
                     stmts.append(If(cond, then_block, body))
-            elif tok.kind == "EOF":
+            elif not _is_name(word):
+                if word:
+                    self.fail("expected a statement", self.pos - 1)
                 if blocks:
-                    self.fail("unterminated block", tok)
+                    self.fail("unterminated block", self.pos - 1)
                 return tuple(stmts)
-            elif tok.kind != "IDENT":
-                self.fail("expected a statement", tok)
-            elif tok.value == "halt":
+            elif word == "halt":
                 stmts.append(Halt())
                 self.expect(";")
-            elif tok.value == "if" or tok.value == "while":
+            elif word == "if" or word == "while":
                 self.expect("(")
-                header = tok.value, self.expression(_LEVELS, self.operand), None
+                header = word, self.expression(_LEVELS, self.operand), None
                 self.expect(")")
-            elif tok.value in _KEYWORDS or tok.value in _BUILTINS:
-                self.fail(f"{tok.value!r} cannot be assigned", tok)
+            elif word in _KEYWORDS or word in _BUILTINS:
+                self.fail(f"{word!r} cannot be assigned", self.pos - 1)
             else:
                 self.expect("=")
-                stmts.append(Assign(tok.value, self.expression(_LEVELS, self.operand)))
+                stmts.append(Assign(word, self.expression(_LEVELS, self.operand)))
                 self.expect(";")
             if header:
                 self.expect("{")
@@ -270,33 +262,34 @@ class _TplParser(Cursor):
     def operand(self):
         """A literal or a name, or an opener for a parenthesized expression
         or the arguments of a builtin call."""
-        tok = self.next()
-        if tok.kind == "NUMBER" or tok.kind == "STRING":
-            return Lit(tok.value)
-        if tok.kind == "(":
+        at = self.pos
+        name = self.tokens[at]
+        self.pos = at + 1
+        value = _literal(name)
+        if value is not None:
+            return Lit(value)
+        if name == "(":
             return self.close, _LEVELS, self.operand
-        name = tok.value
-        if tok.kind != "IDENT":
-            self.fail("expected an expression", tok)
+        if not _is_name(name):
+            self.fail("expected an expression", at)
         if name in _KEYWORDS:
-            self.fail(f"{name!r} is a keyword, not a value", tok)
+            self.fail(f"{name!r} is a keyword, not a value", at)
         if name not in _BUILTINS:
             return Name(name)
         self.expect("(")
-        args: list = []
+        return partial(self.argument, name, at, []), _LEVELS, self.operand
 
-        def resume(arg):
-            args.append(arg)
-            if self.peek().kind == ",":
-                self.pos += 1
-                return opener
-            self.expect(")")
-            arity = len(_BUILTINS[name][0])
-            if len(args) != arity:
-                self.fail(f"{name} takes {arity} arguments, got {len(args)}", tok)
-            return Call(name, tuple(args))
-        opener = resume, _LEVELS, self.operand
-        return opener
+    def argument(self, name: str, at: int, args: list, arg):
+        """The resume of a builtin's argument list, as in fol._Parser.argument."""
+        args.append(arg)
+        if self.tokens[self.pos] == ",":
+            self.pos += 1
+            return partial(self.argument, name, at, args), _LEVELS, self.operand
+        self.expect(")")
+        arity = len(_BUILTINS[name][0])
+        if len(args) != arity:
+            self.fail(f"{name} takes {arity} arguments, got {len(args)}", at)
+        return Call(name, tuple(args))
 
 
 def _digit_loop_shape(v: str, d: str) -> While:
@@ -328,7 +321,7 @@ def _recognise(loop: While):
 
 
 def parse_program(text: str) -> TplProgram:
-    return TplProgram(source=text, body=_TplParser(_lex(text)).program())
+    return TplProgram(source=text, body=_TplParser(text).program())
 
 
 # --------------------------------------------------------------------------

@@ -310,6 +310,16 @@ def test_a_text_with_a_leading_zero_is_not_stored(conversions):
     assert decimal_to_nat(text) == n and conversions["to_nat"] == 2
 
 
+def test_the_memo_keeps_a_plain_copy_of_a_str_subclass(empty_memo):
+    class Sub(str):
+        def __str__(self):
+            return "0"
+    n = _big(5)
+    text = Sub(_reference_decimal(n))
+    assert decimal_to_nat(text) == n
+    assert type(nat_to_decimal(n)) is str and nat_to_decimal(n) == text
+
+
 def test_leading_zero_texts_do_not_poison_the_memo(empty_memo):
     rng = random.Random(4096)
     size = 2 * codec._SAFE_DIGITS

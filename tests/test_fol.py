@@ -15,6 +15,7 @@ from conftest import _at_the_default_recursion_limit, random_order_sentences
 from hypothesis import given, settings, strategies as st
 
 from taulab.fol import (
+    _Parser,
     And, Eq, Exists, Forall, FolSyntaxError, FreeVariableError, Iff, Imp,
     Less, Node, Not, Num, Or, Pi, Succ, Tau, Var,
     conjoin_left, disjoin_right, format_formula, format_term, free_vars,
@@ -22,6 +23,7 @@ from taulab.fol import (
     parse_term, read_fol_text, rosser_sentence, substitute, succ,
     uses_pi, uses_tau, walk,
 )
+from taulab.theories import segment_axiom
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -98,6 +100,27 @@ def test_non_ascii_names(text, outcome):
     else:
         assert got == Eq(Var(outcome), Num(0))
         assert format_formula(got) == text
+
+
+def test_a_parse_shares_one_var_per_name():
+    """The parse's cost guard, counted rather than timed: every disjunct of a
+    parsed segment axiom holds the one Var the parse made for x."""
+    built = segment_axiom(1997)
+    parsed = parse_formula(format_formula(built))
+    assert parsed == built
+    names, body = {id(parsed.body.left.left)}, parsed.body.right
+    while type(body) is Or:
+        names.add(id(body.left.left))
+        body = body.right
+    names.add(id(body.left))
+    assert len(names) == 1
+
+
+def test_a_long_blank_run_before_an_error_lexes_in_linear_time():
+    # a scan that backed up into the blanks, or restarted inside them, would
+    # take quadratic time here
+    with pytest.raises(FolSyntaxError, match=r"'@' \(line 1, column 200001\)"):
+        parse_formula(" " * 200_000 + "@")
 
 
 def test_numeral_validation():
@@ -222,6 +245,10 @@ def test_syntax_errors_carry_positions():
     # lines are counted and columns restart after each newline
     ("0 = 0 &\n  x - y", "stray '-' (did you mean '->') (line 2, column 5)"),
     ("0 = 0 &\n\n  (x < y", "expected ')', found None (line 3, column 9)"),
+    # the whole text is lexed first: a lexical error wins over an earlier
+    # parse error
+    ("x & y - z", "stray '-' (did you mean '->') (line 1, column 7)"),
+    ("(0 = 0 @", "unexpected character '@' (line 1, column 8)"),
 ])
 def test_syntax_error_texts(text, message):
     with pytest.raises(FolSyntaxError) as info:
@@ -550,6 +577,37 @@ def test_frozen_corpus_outcomes():
     parsed = sum(o.startswith("ok ") for o in outcomes)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
     assert (parsed, digest) == (1260, "17c3ad53c4d05f85")
+
+
+def _offset(text, line, column):
+    return sum(len(row) + 1 for row in text.split("\n")[:line - 1]) + column - 1
+
+
+def _tokens(text):
+    """``text``'s tokens as (kind, value, line, column), up to EOF or up to its
+    lexical error, which then stands in for EOF; and that error's text."""
+    try:
+        parser, error = _Parser(text), None
+    except FolSyntaxError as e:
+        parser, error = _Parser(text[:_offset(text, e.line, e.column)]), str(e)
+    tokens = []
+    for k, token in enumerate(parser.tokens):
+        value = parser.value(token)
+        kind = ("EOF" if not token else "NUM" if type(value) is int
+                else "QUANT" if token in ("A", "E") else "IDENT" if token[0].islower() else token)
+        tokens.append((kind, value, *parser.where(4 * k + 2)[1:]))
+        if not token:
+            return tokens, error
+
+
+def test_frozen_corpus_token_streams():
+    h = hashlib.sha256()
+    for text in _corpus_texts(20261018, 5000):
+        tokens, error = _tokens(text)
+        for kind, value, line, column in tokens:
+            h.update(ascii((kind, type(value).__name__, line, column, value)).encode())
+        h.update(ascii(error).encode())
+    assert h.hexdigest()[:16] == "51858f3b26705258"
 
 
 # --------------------------------------------------------------------------

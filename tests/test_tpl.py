@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from taulab.constructions import plant_axiom, rosser_pair
 from taulab.fol import format_formula
 from taulab.theories import ORDER_AXIOMS
 from taulab.tpl import (
-    _BUILTINS, _lex,
+    _BUILTINS, _TplParser, _is_name,
     DigitLoop, If, Machine, SearchLoop, TemplateError, TplProgram, TplSyntaxError, While,
     instantiate_template, output_code,
     parse_program, program_from_code, run_code, tau, template_source,
@@ -93,6 +94,10 @@ def test_string_literal_escapes(literal, value):
     ('x = "a\\q";', "bad escape \\q (line 1, column 5)"),
     ('x = 1;\n\n y = "abc\\', "bad escape \\ (line 3, column 6)"),
     ('x = "a\\\nb";', "bad escape \\\n (line 1, column 5)"),
+    # a valid escape just before the end or the newline is not a bad one
+    ('x = "a\\\\', "unterminated string literal (line 1, column 5)"),
+    ('x = "a\\nb\n";', "unterminated string literal (line 1, column 5)"),
+    ('x = "\\t\\\\\\q";', "bad escape \\q (line 1, column 5)"),
 ])
 def test_string_literal_error_texts(text, message):
     with pytest.raises(TplSyntaxError) as info:
@@ -145,6 +150,10 @@ def test_string_literal_error_texts(text, message):
     # lines are counted and columns restart after each newline
     ("x = 1\ny = 2;", "expected ';', found 'y' (line 2, column 1)"),
     ("\n  x = 1 + # a comment\n  ;", "expected an expression (line 3, column 3)"),
+    # the whole text is lexed first: a lexical error wins over an earlier
+    # parse error
+    ("x = ; @", "unexpected character '@' (line 1, column 7)"),
+    ("x = 1 halt; $", "unexpected character '$' (line 1, column 13)"),
 ])
 def test_syntax_error_texts(text, message):
     with pytest.raises(TplSyntaxError) as info:
@@ -237,13 +246,53 @@ def test_frozen_corpus_outcomes():
     assert (parsed, digest) == (1072, "b950927859ad6a6d")
 
 
+@pytest.mark.parametrize("blanks", [" " * 200_000, "# c\n" * 50_000])
+def test_a_long_blank_run_before_an_error_lexes_in_linear_time(blanks):
+    # a scan that backed up into the blanks and comments, or restarted inside
+    # them, would take quadratic time here
+    with pytest.raises(TplSyntaxError, match=r"unexpected character '\$'"):
+        parse_program(blanks + "$")
+
+
+def _offset(text, line, column):
+    return sum(len(row) + 1 for row in text.split("\n")[:line - 1]) + column - 1
+
+
+def _tokens(text):
+    """``text``'s tokens as (kind, value, line, column), up to EOF or up to its
+    lexical error, which then stands in for EOF; and that error's text."""
+    try:
+        parser, error = _TplParser(text), None
+    except TplSyntaxError as e:
+        parser, error = _TplParser(text[:_offset(text, e.line, e.column)]), str(e)
+    tokens = []
+    for k, token in enumerate(parser.tokens):
+        value = parser.value(token)
+        kind = ("EOF" if not token else "NUMBER" if type(value) is int
+                else "STRING" if token[0] == '"' else "IDENT" if _is_name(token) else token)
+        tokens.append((kind, value, *parser.where(4 * k + 2)[1:]))
+        if not token:
+            return tokens, error
+
+
+def test_frozen_corpus_token_streams():
+    # each text's tokens up to EOF, or up to its lexical error, which then
+    # stands in for EOF and whose text closes the stream
+    h = hashlib.sha256()
+    for text in _corpus_texts(20261018, 5000):
+        tokens, error = _tokens(text)
+        for kind, value, line, column in tokens:
+            h.update(ascii((kind, type(value).__name__, line, column, value)).encode())
+        h.update(ascii(error).encode())
+    assert h.hexdigest()[:16] == "49499f39b199f34f"
+
+
 def _token_digest(text: str) -> str:
     h = hashlib.sha256()
-    for tok in _lex(text):
-        v = tok.value
+    for kind, v, line, column in _tokens(text)[0]:
         data = (v.encode("latin-1") if type(v) is str
                 else b"" if v is None else format(v, "x").encode())
-        h.update(f"{tok.kind}:{type(v).__name__}:{tok.line}:{tok.column}:{len(data)}:".encode())
+        h.update(f"{kind}:{type(v).__name__}:{line}:{column}:{len(data)}:".encode())
         h.update(data)
     return h.hexdigest()[:16]
 
@@ -1233,3 +1282,22 @@ def test_race_searchers_unpair_their_probe_once(race_probe, planted_search, monk
         assert _search_closures(program) == 1
         Machine(program, probe_input, budget).run()
     assert roots.count(True) == 1
+
+
+def test_lexing_a_searcher_with_a_race_numeral_stays_lean():
+    """The race's memory guard: a searcher whose enumerator code has as many
+    digits as the race's (269 052) parses within 1.2 bytes traced per byte of
+    text.  The numeral's natural is remembered, as it is when a construction
+    prints the code it lexes back, so what is traced is the lexer and the
+    parser.  The character-scanner lexer peaked at 1.10."""
+    digits = "9" * 269_052
+    codec.decimal_to_nat(digits)
+    text = template_source("searcher").replace("{{POLARITY}}", "pos") \
+        .replace("{{ENUM_CODE}}", digits)
+    tracemalloc.start()
+    try:
+        parse_program(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * len(text)
