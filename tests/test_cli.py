@@ -308,6 +308,26 @@ def test_rice_emits_the_spliced_stream(capsys, t_axioms, s_axioms, tmp_path):
     assert code == 3 and err != ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("henkin", "--base", "equality", "--count", "1"),
+    ("craig", "{missing}"),
+    ("kleene", "{missing}"),
+    ("rosser", "{missing}", "--plant", "pos"),
+    ("diagonal", "{missing}"),
+    ("rice", "{missing}", "{s}", "--psi", "0 = 0"),
+    ("rice", "{s}", "{missing}", "--psi", "0 = 0"),
+    ("rice", "{s}", "{s}", "--psi", "0 ="),
+])
+def test_an_input_error_writes_nothing(capsys, s_axioms, tmp_path, argv):
+    out_dir = tmp_path / "out" / "nested"
+    paths = {"{missing}": str(tmp_path / "missing.tpl"), "{s}": str(s_axioms)}
+    code, out, err = run(capsys, "construct",
+                         *(paths.get(arg, arg) for arg in argv),
+                         "--out", out_dir)
+    assert code == 3 and out == "" and err.startswith("input error: ")
+    assert not (tmp_path / "out").exists()
+
+
 # --------------------------------------------------------------------------
 # configuration and usage
 
