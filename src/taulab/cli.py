@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 negative-but-valid result (not a member, proof
 not found, run did not halt, ...), 2 usage or configuration error, 3 input
 error (unreadable file, unparsable sentence or program, undecodable
 number).  Diagnostics go to stderr; results and reports go to stdout.
-``construct`` additionally writes its report and generated ``.tpl`` /
-``.fol`` artifacts under ``--out``.
+A ``construct`` report shows an input program as its path and ``-bits``,
+a written program as ``-file`` and ``-bits``, a written sentence as
+``-file``; it is saved as ``<command>.report`` under ``--out``.
 
 Budgets come from ``LAB_STEP_BUDGET`` and ``LAB_CODE_BUDGET`` (default
 1000000 each, must be at least 1); per-command flags override them.  The
@@ -101,7 +102,9 @@ class _InputError(Exception):
 # --------------------------------------------------------------------------
 # configuration
 
-def _env_budget(name: str) -> int:
+def _env_budget(name: str, given: int | None = None) -> int:
+    if given is not None:
+        return given
     raw = os.environ.get(name)
     if raw is None:
         return 10 ** 6
@@ -171,42 +174,45 @@ def _decimal(text: str) -> int:
 
 
 class _Report:
-    """Line-oriented ``key: value`` report, echoed and optionally saved."""
+    """Line-oriented ``key: value`` report, echoed and optionally saved.
 
-    def __init__(self) -> None:
+    A ``construct`` report also owns its ``--out`` directory, made at the
+    first write, so a command that fails before writing leaves none.
+    """
+
+    def __init__(self, out: str | None = None) -> None:
         self.lines: list[str] = []
+        self.out = out
 
     def add(self, key: str, value: object) -> None:
         self.lines.append(f"{key}: {value}")
 
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines)
+    def input(self, key: str, path: str) -> int:
+        """Read the program file at ``path``; report it and its bit size."""
+        _, code = _program_file(path)
+        self.add(key, path)
+        self.add(f"{key}-bits", code.bit_length())
+        return code
 
-    def emit(self, directory: Path | None = None,
-             filename: str | None = None) -> None:
-        sys.stdout.write(self.text())
-        if directory is not None and filename is not None:
-            (directory / filename).write_text(self.text(), encoding="ascii")
+    def program(self, key: str, filename: str, code: int) -> None:
+        self.file(key, filename, decode_program_code(code))
+        self.add(f"{key}-bits", code.bit_length())
 
+    def file(self, key: str, filename: str, text: str) -> None:
+        self._path(filename).write_text(
+            text if text.endswith("\n") else text + "\n", encoding="ascii")
+        self.add(f"{key}-file", filename)
 
-def _write_artifact(directory: Path, filename: str, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    (directory / filename).write_text(text, encoding="ascii")
+    def emit(self, filename: str | None = None) -> None:
+        text = "".join(line + "\n" for line in self.lines)
+        path = None if filename is None else self._path(filename)
+        sys.stdout.write(text)
+        if path is not None:
+            path.write_text(text, encoding="ascii")
 
-
-def _program_artifact(report: _Report, directory: Path, key: str,
-                      filename: str, code: int) -> None:
-    """Write the program that ``code`` codes; report its file and bit size."""
-    _write_artifact(directory, filename, decode_program_code(code))
-    report.add(f"{key}-file", filename)
-    report.add(f"{key}-bits", code.bit_length())
-
-
-def _out_dir(args) -> Path:
-    directory = Path(args.out)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    def _path(self, filename: str) -> Path:
+        Path(self.out).mkdir(parents=True, exist_ok=True)
+        return Path(self.out, filename)
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +229,7 @@ def _cmd_codec_decode(args) -> int:
         raise _InputError(
             f"code {args.code} does not name a text: its bit string's "
             f"length is not a multiple of 8")
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return SUCCESS
 
 
@@ -248,9 +252,8 @@ def _cmd_codec_unpair(args) -> int:
 
 def _cmd_tpl_run(args) -> int:
     program, _ = _program_file(args.file)
-    budget = args.steps if args.steps is not None else _env_budget(
-        "LAB_STEP_BUDGET")
-    machine = Machine(program, args.input, budget).run()
+    machine = Machine(program, args.input,
+                      _env_budget("LAB_STEP_BUDGET", args.steps)).run()
     report = _Report()
     report.add("halted", "yes" if machine.halted else "no")
     report.add("steps", machine.steps)
@@ -281,9 +284,8 @@ def _cmd_tpl_code(args) -> int:
 # theory subcommands
 
 def _cmd_theory_member(args) -> int:
-    handle = theory_by_name(args.theory)
-    sentence = _sentence(args.sentence)
-    member = handle.axiom_membership(sentence)
+    member = theory_by_name(args.theory).axiom_membership(
+        _sentence(args.sentence))
     print("yes" if member else "no")
     return SUCCESS if member else NEGATIVE
 
@@ -306,9 +308,8 @@ def _cmd_theory_decide(args) -> int:
 
 
 def _cmd_theory_eval(args) -> int:
-    budget = args.budget if args.budget is not None else _env_budget(
-        "LAB_STEP_BUDGET")
-    verdict = eval_std(_sentence(args.sentence), budget)
+    verdict = eval_std(_sentence(args.sentence),
+                       _env_budget("LAB_STEP_BUDGET", args.budget))
     print(verdict)
     return SUCCESS if verdict.budget is None else NEGATIVE
 
@@ -344,8 +345,7 @@ def _cmd_proof_check(args) -> int:
 def _cmd_proof_search(args) -> int:
     oracle = _theory_oracle(args.theory)
     target = _sentence(args.target)
-    code_budget = (args.budget if args.budget is not None
-                   else _env_budget("LAB_CODE_BUDGET"))
+    code_budget = _env_budget("LAB_CODE_BUDGET", args.budget)
     proof = prove_search(oracle, target, code_budget,
                          _env_budget("LAB_STEP_BUDGET"))
     report = _Report()
@@ -402,7 +402,7 @@ def _cmd_construct_henkin(args) -> int:
     corpus = _order_corpus(args.count, args.seed)
     state = henkin_complete(order_extension_derives, corpus, args.count)
     violations = completeness_probe(state.decide, corpus)
-    report = _Report()
+    report = _Report(args.out)
     report.add("base", args.base)
     report.add("count", args.count)
     report.add("seed", args.seed)
@@ -410,60 +410,43 @@ def _cmd_construct_henkin(args) -> int:
         report.add(str(index),
                    ("+ " if asserted else "- ") + format_formula(sentence))
     report.add("violations", len(violations))
-    report.add("consistent",
-               "yes" if not order_extension_derives(
-                   state.committed_sentences(), CONTRADICTION) else "no")
-    report.emit(_out_dir(args), "henkin.report")
+    report.add("consistent", "no" if order_extension_derives(
+        state.committed_sentences(), CONTRADICTION) else "yes")
+    report.emit("henkin.report")
     return SUCCESS if not violations else NEGATIVE
 
 
 def _cmd_construct_craig(args) -> int:
-    _, code = _program_file(args.enumerator)
+    report = _Report(args.out)
+    code = report.input("enumerator", args.enumerator)
     artifact = craig(code, step_budget=_env_budget("LAB_STEP_BUDGET"))
-    directory = _out_dir(args)
-    report = _Report()
-    report.add("enumerator", args.enumerator)
-    report.add("enumerator-bits", code.bit_length())
-    _program_artifact(report, directory, "decider", "craig_decider.tpl",
-                      artifact.decider_code)
-    _program_artifact(report, directory, "prefixes", "craig_prefixes.tpl",
-                      artifact.prefix_code)
+    report.program("decider", "craig_decider.tpl", artifact.decider_code)
+    report.program("prefixes", "craig_prefixes.tpl", artifact.prefix_code)
     report.add("axiom-0", format_formula(artifact.axiom(0)))
     report.add("prefix-2", format_formula(artifact.prefix(2)))
-    report.emit(directory, "craig.report")
+    report.emit("craig.report")
     return SUCCESS
 
 
 def _cmd_construct_kleene(args) -> int:
-    _, code = _program_file(args.enumerator)
-    searcher, sentence = kleene_sentence(code)
-    directory = _out_dir(args)
-    report = _Report()
-    report.add("enumerator", args.enumerator)
-    report.add("enumerator-bits", code.bit_length())
-    _program_artifact(report, directory, "searcher", "searcher.tpl", searcher)
-    _write_artifact(directory, "sentence.fol", format_formula(sentence))
-    report.add("sentence-file", "sentence.fol")
-    report.emit(directory, "kleene.report")
+    report = _Report(args.out)
+    searcher, sentence = kleene_sentence(
+        report.input("enumerator", args.enumerator))
+    report.program("searcher", "searcher.tpl", searcher)
+    report.file("sentence", "sentence.fol", format_formula(sentence))
+    report.emit("kleene.report")
     return SUCCESS
 
 
 def _cmd_construct_rosser(args) -> int:
-    _, code = _program_file(args.enumerator)
+    report = _Report(args.out)
+    code = report.input("enumerator", args.enumerator)
     artifact = rosser_pair(code)
-    directory = _out_dir(args)
-    report = _Report()
-    report.add("enumerator", args.enumerator)
-    report.add("enumerator-bits", code.bit_length())
-    _program_artifact(report, directory, "negative", "searcher_neg.tpl",
-                      artifact.negative)
-    _program_artifact(report, directory, "positive", "searcher_pos.tpl",
-                      artifact.positive)
-    _write_artifact(directory, "sentence.fol",
-                    format_formula(artifact.sentence))
-    report.add("sentence-file", "sentence.fol")
+    report.program("negative", "searcher_neg.tpl", artifact.negative)
+    report.program("positive", "searcher_pos.tpl", artifact.positive)
+    report.file("sentence", "sentence.fol", format_formula(artifact.sentence))
     report.add("plant", args.plant if args.plant else "none")
-    exit_code = SUCCESS
+    halted = True
     if args.plant is not None:
         target = (artifact.sentence if args.plant == "pos"
                   else Not(artifact.sentence))
@@ -472,60 +455,46 @@ def _cmd_construct_rosser(args) -> int:
         runner = planted.positive if args.plant == "pos" else planted.negative
         probe = pair(artifact.negative, artifact.positive)
         machine = run_code(runner, probe, _env_budget("LAB_STEP_BUDGET"))
-        _write_artifact(directory, "planted_stream.tpl",
-                        decode_program_code(planted_stream))
-        report.add("planted-stream-file", "planted_stream.tpl")
+        report.file("planted-stream", "planted_stream.tpl",
+                    decode_program_code(planted_stream))
         report.add("planted-run-halted", "yes" if machine.halted else "no")
         report.add("planted-run-steps", machine.steps)
-        if not machine.halted:
-            exit_code = NEGATIVE
-    report.emit(directory, "rosser.report")
-    return exit_code
+        halted = machine.halted
+    report.emit("rosser.report")
+    return SUCCESS if halted else NEGATIVE
 
 
 def _cmd_construct_diagonal(args) -> int:
-    _, code = _program_file(args.decider)
-    report_data = diagonal(code, step_budget=_env_budget("LAB_STEP_BUDGET"),
-                           search_budget=args.budget)
-    directory = _out_dir(args)
-    report = _Report()
-    report.add("decider", args.decider)
-    report.add("decider-bits", code.bit_length())
-    _program_artifact(report, directory, "diagonal", "diagonal.tpl",
-                      report_data.diagonal_code)
-    claimed = report_data.claimed
-    report.add("claimed", "none" if claimed is None
-               else ("provable" if claimed else "not-provable"))
-    report.add("observed-halt", "yes" if report_data.observed else "no")
-    report.add("refuted", "yes" if report_data.refuted else "no")
-    if report_data.witness_step is not None:
-        report.add("witness-step", report_data.witness_step)
-    if report_data.searched_codes is not None:
-        report.add("searched-codes", report_data.searched_codes)
-    if report_data.found_proof_code is not None:
-        report.add("found-proof-code",
-                   nat_to_decimal(report_data.found_proof_code))
-    report.emit(directory, "diagonal.report")
-    return SUCCESS if report_data.refuted else NEGATIVE
+    report = _Report(args.out)
+    result = diagonal(report.input("decider", args.decider),
+                      step_budget=_env_budget("LAB_STEP_BUDGET"),
+                      search_budget=args.budget)
+    report.program("diagonal", "diagonal.tpl", result.diagonal_code)
+    report.add("claimed", {None: "none", True: "provable",
+                           False: "not-provable"}[result.claimed])
+    report.add("observed-halt", "yes" if result.observed else "no")
+    report.add("refuted", "yes" if result.refuted else "no")
+    if result.witness_step is not None:
+        report.add("witness-step", result.witness_step)
+    if result.searched_codes is not None:
+        report.add("searched-codes", result.searched_codes)
+    if result.found_proof_code is not None:
+        report.add("found-proof-code", nat_to_decimal(result.found_proof_code))
+    report.emit("diagonal.report")
+    return SUCCESS if result.refuted else NEGATIVE
 
 
 def _cmd_construct_rice(args) -> int:
-    _, scrutinized = _program_file(args.scrutinized)
-    _, base = _program_file(args.base)
+    report = _Report(args.out)
+    scrutinized = report.input("scrutinized", args.scrutinized)
+    base = report.input("base", args.base)
     trigger = _sentence(args.psi)
     artifact = rice_reduce(scrutinized, base, trigger,
                            step_budget=_env_budget("LAB_STEP_BUDGET"))
-    directory = _out_dir(args)
-    report = _Report()
-    report.add("scrutinized", args.scrutinized)
-    report.add("scrutinized-bits", scrutinized.bit_length())
-    report.add("base", args.base)
-    report.add("base-bits", base.bit_length())
     report.add("trigger", format_formula(trigger))
     report.add("contradiction", format_formula(artifact.contradiction))
-    _program_artifact(report, directory, "enumerator", "rice_enum.tpl",
-                      artifact.enumerator_code)
-    report.emit(directory, "rice.report")
+    report.program("enumerator", "rice_enum.tpl", artifact.enumerator_code)
+    report.emit("rice.report")
     return SUCCESS
 
 
@@ -658,10 +627,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except _ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return USAGE
-    except _InputError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
-    except FolError as err:
+    except (_InputError, FolError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return BAD_INPUT
 

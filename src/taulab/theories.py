@@ -202,6 +202,17 @@ def _triple(j: int) -> tuple[int, int, int] | None:
     return e, x, t
 
 
+# name: (membership test, enumerator template), read by theory_by_name
+_THEORIES = {"T": (axiom_member_T, "enum_t"), "S": (axiom_member_S, "enum_s")}
+
+
+def _theory_name(name: str) -> str:
+    if name not in _THEORIES:
+        expected = " or ".join(map(repr, _THEORIES))
+        raise ValueError(f"unknown theory {name!r} (expected {expected})")
+    return name
+
+
 def enumerate_axioms(theory: "TheoryHandle | str", index: int) -> Formula:
     """The index-th sentence of a theory's canonical axiom stream.
 
@@ -210,9 +221,8 @@ def enumerate_axioms(theory: "TheoryHandle | str", index: int) -> Formula:
     with the segment axioms on the odd offsets — with padding "0 = 0" at
     offsets that decode to no triple (and, for "T", at false records).
     """
-    name = theory.name if isinstance(theory, TheoryHandle) else str(theory)
-    if name not in ("T", "S"):
-        raise ValueError(f"unknown theory {name!r} (expected 'T' or 'S')")
+    name = _theory_name(theory.name if isinstance(theory, TheoryHandle)
+                        else str(theory))
     if index < 0:
         raise ValueError("enumeration index must be a natural number")
     if index < 6:
@@ -250,33 +260,22 @@ class TheoryHandle:
 
 
 @cache
+def theory_by_name(name: str) -> TheoryHandle:
+    """The handle of theory ``name``, "T" or "S", built once."""
+    membership, template = _THEORIES[_theory_name(name)]
+    return TheoryHandle(name, membership,
+                        program_code(template_source(template)),
+                        frozenset({"0", "s", "<", "tau"}))
+
+
 def theory_T() -> TheoryHandle:
     """Order axioms plus all true bounded-halting records."""
-    return TheoryHandle(
-        name="T",
-        axiom_membership=axiom_member_T,
-        enumerator_code=program_code(template_source("enum_t")),
-        language=frozenset({"0", "s", "<", "tau"}),
-    )
+    return theory_by_name("T")
 
 
-@cache
 def theory_S() -> TheoryHandle:
     """Order axioms, signed bounded-halting records, and segment axioms."""
-    return TheoryHandle(
-        name="S",
-        axiom_membership=axiom_member_S,
-        enumerator_code=program_code(template_source("enum_s")),
-        language=frozenset({"0", "s", "<", "tau"}),
-    )
-
-
-def theory_by_name(name: str) -> TheoryHandle:
-    if name == "T":
-        return theory_T()
-    if name == "S":
-        return theory_S()
-    raise ValueError(f"unknown theory {name!r} (expected 'T' or 'S')")
+    return theory_by_name("S")
 
 
 # --------------------------------------------------------------------------

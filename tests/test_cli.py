@@ -349,6 +349,23 @@ def test_bad_budget_env_is_a_configuration_error(capsys, monkeypatch,
     assert run(capsys, "tpl", "run", source, "--input", "0")[0] == 2
 
 
+def test_a_budget_flag_leaves_its_variable_unread(capsys, monkeypatch,
+                                                 s_axioms, tmp_path):
+    source = tmp_path / "p.tpl"
+    source.write_text("while (1) { }", encoding="ascii")
+    monkeypatch.setenv("LAB_STEP_BUDGET", "zero")
+    code, out, _ = run(capsys, "tpl", "run", source, "--input", "0",
+                       "--steps", "7")
+    assert code == 1 and "steps: 7" in out
+    assert run(capsys, "theory", "eval", "0 = 0", "--budget", "3")[:2] == \
+        (0, "true-in-std\n")
+    monkeypatch.setenv("LAB_STEP_BUDGET", "1000")
+    monkeypatch.setenv("LAB_CODE_BUDGET", "zero")
+    code, out, _ = run(capsys, "proof", "search", "--theory", s_axioms,
+                       "--target", "0 < 0", "--budget", "5")
+    assert code == 1 and "searched: 5" in out
+
+
 def test_budget_env_is_honoured(capsys, monkeypatch, tmp_path):
     source = tmp_path / "p.tpl"
     source.write_text("while (1) { }", encoding="ascii")
