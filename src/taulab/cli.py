@@ -129,7 +129,9 @@ def _positive_int(text: str) -> int:
 
 
 def _natural(text: str) -> int:
-    value = int(text)
+    # int() refuses more than a few thousand digits; a plain numeral of any
+    # length goes through the codec, every other text keeps int()'s reading
+    value = decimal_to_nat(text) if text.isascii() and text.isdigit() else int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a natural number")
     return value
@@ -199,20 +201,22 @@ class _Report:
         self.add(f"{key}-bits", code.bit_length())
 
     def file(self, key: str, filename: str, text: str) -> None:
-        self._path(filename).write_text(
-            text if text.endswith("\n") else text + "\n", encoding="ascii")
+        self._write(filename, text if text.endswith("\n") else text + "\n")
         self.add(f"{key}-file", filename)
 
     def emit(self, filename: str | None = None) -> None:
         text = "".join(line + "\n" for line in self.lines)
-        path = None if filename is None else self._path(filename)
+        if filename is not None:
+            self._write(filename, text)
         sys.stdout.write(text)
-        if path is not None:
-            path.write_text(text, encoding="ascii")
 
-    def _path(self, filename: str) -> Path:
-        Path(self.out).mkdir(parents=True, exist_ok=True)
-        return Path(self.out, filename)
+    def _write(self, filename: str, text: str) -> None:
+        try:
+            Path(self.out).mkdir(parents=True, exist_ok=True)
+            Path(self.out, filename).write_text(text, encoding="ascii")
+        except OSError as err:
+            raise _InputError(f"cannot write under --out {self.out}: "
+                              f"{err.strerror or err}")
 
 
 # --------------------------------------------------------------------------

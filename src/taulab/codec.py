@@ -139,22 +139,31 @@ def _unpair(p: int) -> tuple[int, int] | None:
 #   memoised per call; pieces of at most _SAFE_DIGITS digits go to int().
 #
 # A construction prints a code into a template and lexes the same numeral
-# straight back, often twice, and the Rosser race alternates two searcher
-# numerals with the stream and its planted axiom.  So the last few
-# conversions past either threshold, in either direction, are remembered as
-# (natural, text) entries, most recent first.  A hit is a plain == compare
-# (tens of microseconds for a 269k-digit text, against a conversion of over
-# 100 ms).  Only canonical texts are stored: one with a leading zero
-# denotes the same natural but is not what nat_to_decimal prints.  So a
-# text past _SAFE_DIGITS is looked up before it is validated, and a hit is
-# not rescanned.  Both values are immutable, so sharing them with every
-# caller changes no result.  The tuple is replaced whole, never changed in
-# place, as is the (natural, result) unpair keeps for its last natural past
-# _SMALL_BITS.
+# straight back, often twice.  So the last few conversions past either
+# threshold, in either direction, are remembered as (natural, text)
+# entries, most recent first.  _RECENT_SIZE is the Rosser race's working
+# set: an operation plants its target into the S stream, builds the pair
+# over the planted stream and runs the planted searcher on pair(k, l),
+# alternating polarities.  That keeps five naturals live: the S stream code
+# (5 540 digits), the base searcher codes k and l (16 707 digits each,
+# printed on every searcher run) and the two planted streams (269 044 and
+# 269 052 digits).  One slot fewer and every operation re-converts the
+# other polarity's planted stream.  Only repeated constructions gain: a
+# one-shot ``construct rosser --plant`` converts each natural once either
+# way.
+#
+# A hit is a plain == compare (tens of microseconds for a 269k-digit text,
+# against a conversion of over 100 ms).  Only canonical texts are stored:
+# one with a leading zero denotes the same natural but is not what
+# nat_to_decimal prints.  So a text past _SAFE_DIGITS is looked up before
+# it is validated, and a hit is not rescanned.  Both values are immutable,
+# so sharing them with every caller changes no result.  The tuple is
+# replaced whole, never changed in place, as is the (natural, result)
+# unpair keeps for its last natural past _SMALL_BITS.
 
 _SMALL_BITS = 8192
 _SAFE_DIGITS = 2048
-_RECENT_SIZE = 4
+_RECENT_SIZE = 5
 
 _recent: tuple[tuple[int, str], ...] = ()
 _last_unpair: tuple = (-1, None)  # both searchers of a race unpair one probe

@@ -14,7 +14,7 @@ from taulab.cli import dispatch
 from taulab.codec import nat_to_decimal, program_code
 from taulab.constructions import kleene_sentence
 from taulab.fol import format_formula
-from taulab.tpl import parse_program, template_source
+from taulab.tpl import parse_program, tau, template_source
 
 LOOPER = "i = 0;\nwhile (i < in) { i = i + 1; }\n"
 
@@ -123,6 +123,22 @@ def test_tau_and_code(capsys, tmp_path):
     source.write_text(LOOPER, encoding="ascii")
     code, out, _ = run(capsys, "tpl", "code", source)
     assert code == 0 and out.strip() == nat_to_decimal(program_code(LOOPER))
+
+
+def test_tau_reads_a_code_past_the_int_digit_cap(capsys):
+    # the code of enum_s.tpl has 5 540 digits; int() refuses more than 4 300
+    e = program_code(template_source("enum_s"))
+    text = nat_to_decimal(e)
+    assert len(text) > 4300
+    for x, t in ((8, 100), (8, 10), (0, 1000)):
+        holds = tau(e, x, t)
+        assert run(capsys, "tpl", "tau", text, x, t) == (0 if holds else 1,
+                                                         f"{int(holds)}\n", "")
+
+
+def test_tau_reads_signed_and_spaced_numerals_as_int_does(capsys):
+    assert run(capsys, "tpl", "tau", "+0", " 0", "-0") == (0, "1\n", "")
+    assert run(capsys, "tpl", "tau", "-1", "0", "0")[0] == 2
 
 
 # --------------------------------------------------------------------------
@@ -326,6 +342,26 @@ def test_an_input_error_writes_nothing(capsys, s_axioms, tmp_path, argv):
                          "--out", out_dir)
     assert code == 3 and out == "" and err.startswith("input error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("henkin", "--base", "order", "--count", "5"),
+    ("kleene", "{s}"),
+])
+@pytest.mark.parametrize("out", ["{file}", "{file}/nested"])
+def test_an_unwritable_out_is_an_input_error(capsys, s_axioms, tmp_path, argv, out):
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n", encoding="ascii")
+    before = sorted(tmp_path.rglob("*"))
+    paths = {"{s}": str(s_axioms)}
+    code, stdout, err = run(capsys, "construct",
+                            *(paths.get(arg, arg) for arg in argv),
+                            "--out", out.replace("{file}", str(existing)))
+    assert code == 3 and stdout == ""
+    assert err.startswith("input error: cannot write under --out ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert existing.read_text(encoding="ascii") == "kept\n"
 
 
 # --------------------------------------------------------------------------

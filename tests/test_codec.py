@@ -402,6 +402,35 @@ def test_rosser_pair_prints_the_stream_once_and_never_parses_it(conversions):
     assert conversions == {"to_text": 1, "to_nat": 0}
 
 
+def test_rosser_race_steady_state_fits_the_memo(conversions):
+    # The race alternates polarities.  Each operation plants its target into
+    # the S stream, builds the pair over the planted stream and runs that
+    # polarity's planted searcher on pair(k, l), which prints k and l.  Five
+    # big naturals stay live: S, k, l and the two planted streams.  With one
+    # memo slot fewer, each operation re-converts the other planted stream.
+    from taulab import fol
+    from taulab.constructions import plant_axiom, rosser_pair
+    from taulab.tpl import Machine, program_from_code, template_source
+
+    stream = program_code(template_source("enum_s"))
+    base = rosser_pair(stream)
+    probe = pair(base.negative, base.positive)
+    targets = {"pos": base.sentence, "neg": fol.Not(base.sentence)}
+
+    def operation(polarity):
+        planted = rosser_pair(plant_axiom(targets[polarity], stream))
+        runner = planted.positive if polarity == "pos" else planted.negative
+        assert Machine(program_from_code(runner), probe, 10 ** 6).run().halted
+
+    for polarity in ("pos", "neg"):
+        operation(polarity)
+    warm = dict(conversions)
+    for _ in range(2):
+        for polarity in ("pos", "neg"):
+            operation(polarity)
+    assert conversions["to_text"] == warm["to_text"]
+
+
 # --------------------------------------------------------------------------
 # the unpair memo: the last natural past _SMALL_BITS bits and its result
 
