@@ -147,6 +147,8 @@ def _read_text(path: str) -> str:
         raise _InputError(f"no such file: {path}")
     except IsADirectoryError:
         raise _InputError(f"not a file: {path}")
+    except OSError as err:
+        raise _InputError(f"cannot read {path}: {err.strerror}")
     except (UnicodeDecodeError, ValueError):
         raise _InputError(f"not ASCII text: {path}")
 
@@ -305,7 +307,7 @@ def _cmd_theory_decide(args) -> int:
     sentence = _sentence(args.sentence)
     try:
         verdict = decide_order_theory(sentence)
-    except ValueError as err:
+    except (ValueError, RuntimeError) as err:  # RuntimeError: the elimination size cap
         raise _InputError(str(err))
     print(verdict)
     return SUCCESS

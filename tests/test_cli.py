@@ -5,6 +5,8 @@ about the installed entry point or environment inheritance, which use a
 subprocess.
 """
 
+import errno
+import os
 import subprocess
 import sys
 
@@ -67,6 +69,16 @@ def test_encode_decode_roundtrip(capsys, tmp_path):
 def test_encode_missing_file(capsys):
     code, out, err = run(capsys, "codec", "encode", "no-such-file.tpl")
     assert code == 3 and out == "" and "no such file" in err
+
+
+@pytest.mark.parametrize("name, error", [("loop.tpl/x.tpl", errno.ENOTDIR),
+                                         ("a" * 300 + ".tpl", errno.ENAMETOOLONG)],
+                         ids=["under-a-file", "name-too-long"])
+def test_an_unreadable_input_path_is_an_input_error(capsys, tmp_path, name, error):
+    (tmp_path / "loop.tpl").write_text(LOOPER, encoding="ascii")
+    path = tmp_path / name
+    assert run(capsys, "tpl", "code", path) == \
+        (3, "", f"input error: cannot read {path}: {os.strerror(error)}\n")
 
 
 def test_unpair(capsys):
@@ -172,6 +184,13 @@ def test_decide_and_eval(capsys):
     assert code == 3 and err != ""
     assert run(capsys, "theory", "eval", "A x. ~(x < 0)") == \
         (0, "true-in-std\n", "")
+
+
+def test_decide_past_the_size_cap_is_an_input_error(capsys, monkeypatch):
+    import taulab.theories as theories
+    monkeypatch.setattr(theories, "_DNF_TERM_CAP", 1)
+    assert run(capsys, "theory", "decide", "E x. ((x < #5 | #6 < x) & (x < #7 | #8 < x))") == \
+        (3, "", "input error: formula too large to flatten for elimination\n")
 
 
 def test_eval_reports_budget_exhaustion(capsys, tmp_path):
@@ -327,6 +346,7 @@ def test_rice_emits_the_spliced_stream(capsys, t_axioms, s_axioms, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("henkin", "--base", "equality", "--count", "1"),
     ("craig", "{missing}"),
+    ("craig", "{under_a_file}"),
     ("kleene", "{missing}"),
     ("rosser", "{missing}", "--plant", "pos"),
     ("diagonal", "{missing}"),
@@ -336,7 +356,8 @@ def test_rice_emits_the_spliced_stream(capsys, t_axioms, s_axioms, tmp_path):
 ])
 def test_an_input_error_writes_nothing(capsys, s_axioms, tmp_path, argv):
     out_dir = tmp_path / "out" / "nested"
-    paths = {"{missing}": str(tmp_path / "missing.tpl"), "{s}": str(s_axioms)}
+    paths = {"{missing}": str(tmp_path / "missing.tpl"), "{s}": str(s_axioms),
+             "{under_a_file}": str(s_axioms / "x.tpl")}
     code, out, err = run(capsys, "construct",
                          *(paths.get(arg, arg) for arg in argv),
                          "--out", out_dir)

@@ -2,9 +2,13 @@
 
 Expected step counts are derived from the cost rule (one step per executed
 statement, headers cost one per evaluation, simulation builtins add their
-inner consumption) and frozen here as literals.
+inner consumption) and frozen here as literals.  Beyond the literals, the
+differential (``_agrees``) holds Machine to the cost rule run one statement
+at a time by ``tpl_reference``.
 """
 
+import ast
+import collections
 import hashlib
 import importlib
 import random
@@ -16,6 +20,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+import tpl_reference as reference
 from conftest import _at_the_default_recursion_limit
 from hypothesis import given, settings, strategies as st
 
@@ -33,8 +38,22 @@ from taulab.tpl import (
 )
 
 
+def _agrees(program, input_value, budgets) -> Machine:
+    """The differential: at each budget, Machine's run of ``program`` ends as
+    the reference stepper's (tests/tpl_reference.py) does.  Returns the
+    Machine's run on the last budget."""
+    want = reference.outcomes(program, input_value, budgets)
+    for budget in budgets:
+        m = Machine(program, input_value, budget).run()
+        got = reference.outcome(m)
+        assert got == want[budget], f"budget {budget}: {got[:3]} != {want[budget][:3]}"
+    return m
+
+
 def run(text, input_value=0, budget=10_000):
-    return Machine(parse_program(text), input_value, budget).run()
+    """Machine's run of ``text``.  The reference stepper's run must match it,
+    so every literal a test pins on it holds for the reference too."""
+    return _agrees(parse_program(text), input_value, [budget])
 
 
 # --------------------------------------------------------------------------
@@ -654,32 +673,13 @@ def test_inner_run_capped_by_outer_budget_is_not_a_verdict():
     assert m2.halted and m2.env["out"] == 0 and m2.steps == 102
 
 
-def _simulated(builtin: str, budget: int, t: int, halts_at: int | None):
-    """(halted, fault, steps, out) of ``out = builtin(e, 0, t); halt;`` on
-    ``budget`` steps, for an e that halts at step ``halts_at`` (None: never)
-    and outputs 0.  The assignment leaves budget - 1 steps, and the inner
-    run is capped at min(t, budget - 1)."""
-    cap = min(t, budget - 1)
-    halted = halts_at is not None and halts_at <= cap
-    used = halts_at if halted else cap
-    if not halted and cap < t:
-        return False, None, budget, None  # the outer run ran out: no verdict
-    if builtin == "runout" and not halted:
-        return False, "runout: program did not halt within the bound", 1 + used, None
-    out = 1 if builtin == "taub" and halted else 0
-    return used + 2 <= budget, None, min(used + 2, budget), out
-
-
 @pytest.mark.parametrize("builtin", ["taub", "runout"])
-@pytest.mark.parametrize("inner, halts_at", [
-    ("i = 0; while (1) { i = i + 1; }", None), ("i = 0; i = i + 1; halt;", 3)])
-@pytest.mark.parametrize("budget", [1, 2, 4, 5, 11, 12])
+@pytest.mark.parametrize("inner", ["i = 0; while (1) { i = i + 1; }", "i = 0; i = i + 1; halt;"])
 @pytest.mark.parametrize("t", [0, 2, 3, 10, 11, 10 ** 12])
-def test_simulation_is_capped_at_the_outer_budget(builtin, inner, halts_at, budget, t):
+def test_simulation_is_capped_at_the_outer_budget(builtin, inner, t):
     # t = 10**12 would take hours uncapped
-    m = run(f"out = {builtin}({program_code(inner)}, 0, {t}); halt;", 0, budget)
-    assert (m.halted, m.fault, m.steps, m.env.get("out")) == \
-        _simulated(builtin, budget, t, halts_at)
+    program = parse_program(f"out = {builtin}({program_code(inner)}, 0, {t}); halt;")
+    _agrees(program, 0, range(14))
 
 
 def test_runout_returns_the_packed_out_value():
@@ -995,56 +995,38 @@ _ENUM_S_GOLDEN = {
 @pytest.mark.parametrize("slot, budget", list(_ENUM_S_GOLDEN))
 def test_enum_s_matches_its_golden_runs(slot, budget):
     program = instantiate_template("enum_s", {})
-    m = Machine(program, slot, 10 ** 6 if budget is None else budget).run()
+    m = _agrees(program, slot, [10 ** 6 if budget is None else budget])
     assert _golden(m) == _ENUM_S_GOLDEN[slot, budget]
 
 
 # --------------------------------------------------------------------------
 # the decimal-digit loop superinstruction
 
-_DIGIT_LOOP = ('while (0 < v) {{ d = concat(charat("0123456789", v % {ten}), d); '
-               'v = v / {ten}; }}')
+_DIGIT_LOOP = 'while (0 < v) { d = concat(charat("0123456789", v % 10), d); v = v / 10; }'
 
 
-def _loop_and_twin(prefix: str):
-    """``prefix``, the digit loop and ``halt;``, once as written and once as
-    its twin, which divides by ``(10 + 0)``: the same loop, step for step,
-    that the recogniser must not match."""
-    loop, twin = (parse_program(f"{prefix} {_DIGIT_LOOP.format(ten=ten)} halt;")
-                  for ten in ("10", "(10 + 0)"))
-    assert type(loop.body[-2]) is DigitLoop and type(twin.body[-2]) is While
-    return loop, twin
-
-
-def _state(m: Machine):
-    return (m.halted, m.fault, m.steps, dict(m.env), m._pc)
-
-
-def _stepped_states(program: TplProgram, input_value: int, last: int, state=_state) -> list:
-    """The states of ``program`` at budgets 0..last, from one run whose
-    budget is raised a step at a time: a plain statement runs out before it
-    has any effect, so running on continues the same run."""
-    m = Machine(program, input_value, 0)
-    states = []
-    for budget in range(last + 1):
-        m.budget = budget
-        states.append(state(m.run()))
-    return states
-
-
-def _run_outcome(m: Machine):
-    return (m.halted, m.fault, m.steps, dict(m.env))
+def _digit_program(prefix: str) -> TplProgram:
+    program = parse_program(f"{prefix} {_DIGIT_LOOP} halt;")
+    assert type(program.body[-2]) is DigitLoop
+    return program
 
 
 def _resumes_exactly(program: TplProgram, input_value: int, last: int):
-    resumed = _stepped_states(program, input_value, last, _run_outcome)
+    """One run whose budget is raised a step at a time equals a fresh run at
+    every budget 0..last: a plain statement runs out before it has any
+    effect, so running on continues the same run."""
+    m = Machine(program, input_value, 0)
     for budget in range(last + 1):
-        assert resumed[budget] == _run_outcome(Machine(program, input_value, budget).run()), budget
-    return resumed[-1]
+        m.budget = budget
+        resumed = reference.outcome(m.run())
+        assert resumed == reference.outcome(Machine(program, input_value, budget).run()), budget
+    return resumed
 
 
-# the resume contract is exact for programs without simulating builtins
-@pytest.mark.parametrize("text", [p for p in _POOL if "taub" not in p])
+# the resume contract is exact for programs without simulating builtins; the
+# last program stops and resumes inside a digit loop
+@pytest.mark.parametrize("text", [p for p in _POOL if "taub" not in p]
+                         + [f'v = in * 98765; d = "ab"; {_DIGIT_LOOP} halt;'])
 @pytest.mark.parametrize("x", [0, 1, 2, 5])
 def test_a_resumed_run_equals_a_fresh_run_at_every_budget(text, x):
     _resumes_exactly(parse_program(text), x, 40)
@@ -1064,30 +1046,23 @@ _DIGIT_VALUES = [0, 1, 9, 10, *(10 ** k + s for k in (2, 5, 19) for s in (-1, 0,
 
 @pytest.mark.parametrize("d", ["", "ab"])
 @pytest.mark.parametrize("v", _DIGIT_VALUES, ids=lambda v: f"{v.bit_length()}bits{v % 1000}")
-def test_digit_loop_agrees_with_its_twin_at_every_budget(v, d):
-    loop, twin = _loop_and_twin(f'v = in; d = "{d}";')
-    n = len(str(v)) if v else 0
-    last = 2 + 1 + 3 * n + 1  # prefix, final header, halt
-    expected = _stepped_states(twin, v, last + 1)
-    assert expected[-1][0] and expected[-1][2] == last
-    assert Machine(twin, v, last // 2).run().env == expected[last // 2][3]
-    for budget in range(last + 2):
-        assert _state(Machine(loop, v, budget).run()) == expected[budget], budget
+def test_digit_loop_agrees_with_the_reference_at_every_budget(v, d):
+    program = _digit_program(f'v = in; d = "{d}";')
+    last = 2 + 1 + 3 * (len(str(v)) if v else 0) + 1  # prefix, final header, halt
+    m = _agrees(program, v, range(last + 2))
+    assert m.halted and m.steps == last
 
 
 def test_digit_loop_past_the_str_digit_limit():
     v = 7 ** 6000  # 5 071 digits; str() refuses past 4 300
-    loop, twin = _loop_and_twin('v = in; d = "ab";')
-    expected = _stepped_states(twin, v, 3 * 5071 + 5)
-    for budget in (0, 3, 4, 5, 6, 7, 8, 9000, 9001, 9002, 3 * 5071 + 3, 3 * 5071 + 4):
-        assert _state(Machine(loop, v, budget).run()) == expected[budget], budget
+    _agrees(_digit_program('v = in; d = "ab";'), v,
+            (0, 3, 4, 5, 6, 7, 8, 9000, 9001, 9002, 3 * 5071 + 3, 3 * 5071 + 4))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 1 << 12000), st.integers(0, 3 * 3620), st.sampled_from(["", "xy"]))
-def test_digit_loop_agrees_with_its_twin_at_random(v, budget, d):
-    loop, twin = _loop_and_twin(f'v = in; d = "{d}";')
-    assert _state(Machine(loop, v, budget).run()) == _state(Machine(twin, v, budget).run())
+def test_digit_loop_agrees_with_the_reference_at_random(v, budget, d):
+    _agrees(_digit_program(f'v = in; d = "{d}";'), v, [budget])
 
 
 @pytest.mark.parametrize("prefix, fault", [
@@ -1096,11 +1071,8 @@ def test_digit_loop_agrees_with_its_twin_at_random(v, budget, d):
     ('v = 25;', "undefined variable 'd'"),
     ('v = 0;', None),  # the loop never runs, so d is never read
 ])
-def test_digit_loop_faults_and_exits_as_its_twin(prefix, fault):
-    loop, twin = _loop_and_twin(prefix)
-    for budget in range(12):
-        got, want = Machine(loop, 0, budget).run(), Machine(twin, 0, budget).run()
-        assert _state(got) == _state(want), budget
+def test_digit_loop_faults_and_exits_as_the_reference(prefix, fault):
+    got = _agrees(_digit_program(prefix), 0, range(12))
     assert got.fault == fault and got.halted == (fault is None)
 
 
@@ -1140,17 +1112,13 @@ def test_digit_loop_near_misses_stay_plain_loops(text):
 # --------------------------------------------------------------------------
 # the proof-search loop superinstruction
 
-_SEARCH_LOOP = "while (1) {{ if (checkproof({e}, c, {t})) {{ halt; }} c = c + 1{pad}; }}"
+_SEARCH_LOOP = "while (1) {{ if (checkproof({e}, c, {t})) {{ halt; }} c = c + 1; }}"
 
 
-def _search_and_twin(prefix: str, e: str = "e", t: str = "tc"):
-    """``prefix`` and the search loop, once as written and once as its twin,
-    whose increment adds ``+ 0``: the same loop, step for step, that the
-    recogniser must not match."""
-    loop, twin = (parse_program(f"{prefix} {_SEARCH_LOOP.format(e=e, t=t, pad=pad)}")
-                  for pad in ("", " + 0"))
-    assert type(loop.body[-1]) is SearchLoop and type(twin.body[-1]) is While
-    return loop, twin
+def _search_program(prefix: str, e: str = "e", t: str = "tc") -> TplProgram:
+    program = parse_program(f"{prefix} {_SEARCH_LOOP.format(e=e, t=t)}")
+    assert type(program.body[-1]) is SearchLoop
+    return program
 
 
 def _search_closures(program: TplProgram) -> int:
@@ -1181,7 +1149,7 @@ def test_both_searcher_templates_end_in_a_search_loop():
 
 @pytest.mark.parametrize("e, t", [("e", "tc"), ("5", "tc"), ("e", "7"), ("5", "7")])
 def test_search_loops_over_literals_and_names_are_recognised(e, t):
-    _search_and_twin("", e, t)
+    _search_program("", e, t)
 
 
 @pytest.mark.parametrize("text", [
@@ -1206,7 +1174,8 @@ def test_search_loop_near_misses_stay_plain_loops(text):
 
 @pytest.mark.parametrize("planted", [False, True], ids=["honest", "planted"])
 @pytest.mark.parametrize("enum_as", ["name", "literal"])
-def test_search_loop_agrees_with_its_twin_at_every_budget(planted_search, race_probe, planted, enum_as):
+def test_search_loop_agrees_with_the_reference_at_every_budget(planted_search, race_probe,
+                                                               planted, enum_as):
     _, planted_stream, planted_tc, _ = planted_search
     if planted:
         stream, tc = planted_stream, planted_tc
@@ -1216,18 +1185,19 @@ def test_search_loop_agrees_with_its_twin_at_every_budget(planted_search, race_p
     numeral = nat_to_decimal(stream)
     prefix, e = ((f"e = {numeral}; tc = in; c = 0;", "e") if enum_as == "name"
                  else ("tc = in; c = 0;", numeral))
-    loop, twin = _search_and_twin(prefix, e)
-    last = Machine(twin, tc, 10 ** 6).run().steps + 1 if planted else 400
-    for budget in range(last + 1):
-        got, want = Machine(loop, tc, budget).run(), Machine(twin, tc, budget).run()
-        assert _state(got) == _state(want), budget
-    assert got.halted == planted and got.env["c"] == (10 if planted else want.env["c"])
+    program = _search_program(prefix, e)
+    last = Machine(program, tc, 10 ** 6).run().steps + 1 if planted else 400
+    got = _agrees(program, tc, range(last + 1))
+    assert got.halted == planted and (got.env["c"] == 10 or not planted)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_search_loop_resumes_as_its_twin(planted_search, seed):
+    # the resume contract has no reference: the search loop, resumed at
+    # random raised budgets, stands where the plain While it keeps stands
     _, stream, tc, _ = planted_search
-    loop, twin = _search_and_twin(f"e = {nat_to_decimal(stream)}; tc = in; c = 0;")
+    loop = _search_program(f"e = {nat_to_decimal(stream)}; tc = in; c = 0;")
+    twin = TplProgram(loop.source, (*loop.body[:-1], loop.body[-1].loop))
     runs = Machine(loop, tc, 0), Machine(twin, tc, 0)
     rng, budget = random.Random(seed), 0
     while not runs[0].halted:
@@ -1235,17 +1205,25 @@ def test_search_loop_resumes_as_its_twin(planted_search, seed):
         for m in runs:
             m.budget = budget
             m.run()
-        assert _state(runs[0]) == _state(runs[1]), budget
+        assert (*reference.outcome(runs[0]), runs[0]._pc) == \
+            (*reference.outcome(runs[1]), runs[1]._pc), budget
     assert runs[0].env["c"] == 10
 
 
-def test_the_planted_searcher_halts_as_its_twin(planted_search, race_probe):
+# past a preamble of about 100 270 steps, budgets 100 299..100 301 stop each
+# race searcher at the three statements of one round of its search loop
+@pytest.mark.parametrize("polarity", ["pos", "neg"])
+def test_race_searchers_agree_with_the_reference_on_a_round_of_their_search(race_probe,
+                                                                            polarity):
+    programs, probe_input = race_probe
+    _agrees(programs[polarity], probe_input, range(100_299, 100_302))
+
+
+def test_the_planted_searcher_agrees_with_the_reference_around_its_halt(planted_search,
+                                                                        race_probe):
     program, _, _, halt = planted_search
-    twin = parse_program(program.source.replace("c = c + 1;", "c = c + 1 + 0;"))
-    assert (_search_closures(program), _search_closures(twin)) == (1, 0)
-    for budget in (100_299, 100_300, 100_301, 100_302, 100_303, *range(halt - 4, halt + 2)):
-        got = Machine(program, race_probe[1], budget).run()
-        assert _state(got) == _state(Machine(twin, race_probe[1], budget).run()), budget
+    got = _agrees(program, race_probe[1], (100_299, 100_300, 100_301, 100_302, 100_303,
+                                           *range(halt - 4, halt + 2)))
     assert got.halted and got.steps == halt
 
 
@@ -1257,11 +1235,8 @@ def test_the_planted_searcher_halts_as_its_twin(planted_search, race_probe):
     ("e = 5; tc = 7;", "undefined variable 'c'"),
     ('e = 5; tc = 7; c = "0";', "checkproof needs a natural, got a string"),
 ])
-def test_search_loop_faults_as_its_twin(prefix, fault):
-    loop, twin = _search_and_twin(prefix)
-    for budget in range(10):
-        got, want = Machine(loop, 0, budget).run(), Machine(twin, 0, budget).run()
-        assert _state(got) == _state(want), budget
+def test_search_loop_faults_as_the_reference(prefix, fault):
+    got = _agrees(_search_program(prefix), 0, range(10))
     assert got.fault == fault and got.steps == prefix.count(";") + 2
 
 
@@ -1301,3 +1276,82 @@ def test_lexing_a_searcher_with_a_race_numeral_stays_lean():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * len(text)
+
+
+# --------------------------------------------------------------------------
+# the reference differential on every template and on generated programs
+
+def test_the_reference_takes_only_the_tree_from_tpl():
+    # the stepper may parse and walk the tree, but nothing of the machine's
+    # compile step (_compile, _expr, _BINOPS, _BUILTINS) may reach it
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    allowed = {"Lit", "Name", "BinOp", "Call", "Assign", "If", "While", "Halt", "DigitLoop",
+               "SearchLoop", "TplProgram", "parse_program", "program_from_code"}
+    for node in ast.walk(tree):
+        if type(node) is ast.Import:
+            assert not any(alias.name.startswith("taulab") for alias in node.names)
+        elif type(node) is ast.ImportFrom:
+            names = {alias.name for alias in node.names}
+            assert node.module == "taulab.tpl" and names <= allowed \
+                or node.module != "taulab.tpl" and "tpl" not in names, ast.unparse(node)
+
+
+@pytest.mark.parametrize("name", sorted(_TEMPLATE_TOKENS))
+def test_every_template_agrees_with_the_reference(name):
+    enum_t = program_code(template_source("enum_t"))
+    program = instantiate_template(name, {
+        "ENUM_CODE": enum_t, "BASE_CODE": enum_t, "PREFIX_ENUM_CODE": enum_t,
+        "FIRST_NEEDS_PARENS": 0, "POLARITY": "neg", "AXIOM_TEXT": "0 < s(0)",
+        "DECIDER_CODE": program_code("out = 0; halt;"), "TARGET_CODE": program_code("0 = 0")})
+    rng = random.Random(name)
+    for x in (0, 7, pair(2, 3), program_code("A x. ~(x < 0)")):
+        end = Machine(program, x, 5000).run().steps
+        _agrees(program, x, sorted({*rng.choices(range(end + 1), k=3), 5000}))
+
+
+_LOOPS = (_DIGIT_LOOP, _SEARCH_LOOP.format(e="e", t="t"))
+# a token of a recognised loop, and what a near miss puts in its place
+_NEAR_MISS = {"0": "1", "<": "<=", "10": "(10 + 0)", '"0123456789"': '"0123456789x"',
+              "v": "d", "d": "v", "1": "2", "+": "-", ";": "; x = 1;", "checkproof": "taub",
+              "halt": "x = 1; halt", "e": "c", "c": "e", "t": "c"}
+
+
+def _generated(rng, values: dict) -> str:
+    """Some variables set, then statements of the frozen corpus's grammar,
+    calls of taub and runout, and loops in a recognised shape or one token
+    off it, some inside an if."""
+    parts = [f"{name} = {rng.choice(options)};"
+             for name, options in values.items() if rng.random() < 0.8]
+    for _ in range(rng.randrange(1, 4)):
+        roll = rng.random()
+        if roll < 0.4:
+            tokens = _TOKEN.findall(rng.choice(_LOOPS))
+            if rng.random() < 0.5:
+                k = rng.choice([k for k, token in enumerate(tokens) if token in _NEAR_MISS])
+                tokens[k] = _NEAR_MISS[tokens[k]]
+            loop = " ".join(tokens)
+            parts.append(loop if roll < 0.3 else f"if ( {_corpus_expr(rng, 1)} ) {{ {loop} }}")
+        elif roll < 0.5:
+            parts.append(f"y = {rng.choice(('taub', 'runout'))}({rng.choice(_POOL_CODES)}, "
+                         f"{_corpus_expr(rng, 1)}, {rng.randrange(30)});")
+        else:
+            parts.append(_corpus_stmt(rng, 2))
+    return " ".join(parts) + rng.choice(("", " halt;"))
+
+
+def test_generated_programs_agree_with_the_reference():
+    stream = nat_to_decimal(program_code(template_source("enum_s")))
+    axiom = program_code(format_formula(ORDER_AXIOMS[0]))  # proof code 10 proves it
+    values = {"v": ("in", "in * 99991", '"25"'), "d": ('""', '"ab"', "5"),
+              "e": (stream, stream, "in", '"5"'), "t": (axiom, axiom, "in", '"x"'),
+              "c": ("0", "in", '"0"'), "x": ("in", '"a"'), "y": ("7", '""')}
+    rng, shapes, count = random.Random(20261022), collections.Counter(), 0
+    while count < 10_000:
+        try:  # a comparison in the corpus grammar's expressions may chain
+            program = parse_program(_generated(rng, values))
+        except TplSyntaxError:
+            continue
+        count += 1
+        shapes.update(type(s).__name__ for s in program.body)
+        _agrees(program, rng.randrange(100), [rng.randrange(150)])
+    assert min(shapes[kind] for kind in ("DigitLoop", "SearchLoop", "While", "If")) > 1000, shapes
